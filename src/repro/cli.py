@@ -77,12 +77,9 @@ from repro.fpga.catalog import load_catalog
 from repro.host.runtime import RUNNER_VARIANTS, FastRunResult
 from repro.ldbc.datasets import DATASET_SCALES, MICRO_SCALES, load_dataset
 from repro.ldbc.queries import QUERY_NAMES, get_query
+from repro.obs import build_run_registry
 from repro.runtime.registry import REGISTRY, RunOutcome
-from repro.runtime.tracing import (
-    metrics_to_prometheus,
-    summarize_trace,
-    validate_chrome_trace,
-)
+from repro.runtime.tracing import summarize_trace, validate_chrome_trace
 
 _ALL_DATASETS = sorted({**DATASET_SCALES, **MICRO_SCALES})
 
@@ -121,41 +118,19 @@ def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker-pool width for independent CST "
-                             "partitions (wall-clock only; default: 1)")
+                        help="warm process-pool width for independent "
+                             "CST partitions (1 = inline; wall-clock "
+                             "only; default: 1)")
     parser.add_argument("--buffers", type=int, default=1, metavar="N",
                         help="on-card staging buffers of the modeled "
                              "transfer/compute overlap pipeline "
                              "(default: 1 = no overlap)")
-    parser.add_argument("--pool", default="thread",
-                        choices=("thread", "process"),
-                        help="worker-pool implementation for "
-                             "--workers > 1 (default: thread; process "
-                             "sidesteps the GIL and ships partitions "
-                             "over the shared-memory CST plane)")
-    parser.add_argument("--no-shm", action="store_true",
-                        help="disable the zero-copy shared-memory CST "
-                             "plane for --pool process (partitions are "
-                             "then pickled per task; wall-clock only)")
-    parser.add_argument("--task-chunk", type=int, default=1, metavar="N",
-                        help="consecutive partitions grouped into one "
-                             "warm-pool dispatch (cuts dispatch "
-                             "overhead on long partition streams; "
-                             "default: 1)")
-    parser.add_argument("--pool-ttl", type=int, default=0, metavar="N",
-                        help="tasks a warm pool worker serves before "
-                             "it is recycled (0 = never; default: 0)")
     parser.add_argument("--pool-watchdog", type=float, default=30.0,
                         metavar="SECONDS",
                         help="wall-clock silence budget before an "
                              "in-flight warm-pool dispatch is hedged "
                              "(stall-kill at twice this; 0 disables; "
                              "default: 30)")
-    parser.add_argument("--cold-pool", action="store_true",
-                        help="fork a fresh process pool per execute "
-                             "stage instead of reusing the warm "
-                             "supervised pool (the legacy baseline; "
-                             "wall-clock only)")
     parser.add_argument("--cache-max-entries", type=int, default=256,
                         metavar="N",
                         help="bound on resident stage-cache entries "
@@ -211,11 +186,6 @@ def _harness_config(args: argparse.Namespace, **kwargs) -> HarnessConfig:
         max_retries=args.max_retries,
         workers=args.workers,
         buffers=args.buffers,
-        pool=getattr(args, "pool", "thread"),
-        shm=not getattr(args, "no_shm", False),
-        warm_pool=not getattr(args, "cold_pool", False),
-        task_chunk=getattr(args, "task_chunk", 1),
-        pool_ttl=getattr(args, "pool_ttl", 0),
         pool_watchdog_s=getattr(args, "pool_watchdog", 30.0),
         host_fault_seed=getattr(args, "host_fault_seed", None),
         cache_max_entries=getattr(args, "cache_max_entries", 256),
@@ -469,9 +439,9 @@ def cmd_match(args: argparse.Namespace) -> int:
     if args.metrics_out is not None:
         atomic_write_text(
             args.metrics_out,
-            metrics_to_prometheus(
+            build_run_registry(
                 ctx.current_metrics.to_payload(), ctx.tracer.counters
-            ),
+            ).render(),
         )
         print(f"metrics written to {args.metrics_out}", file=sys.stderr)
     rows = (

@@ -97,9 +97,8 @@ class WorkerCrashError(ReproError):
     not a modeled device fault: it changes wall-clock time only, never
     counts or modeled seconds. The supervised worker pool
     (:mod:`repro.runtime.pool`) respawns the worker and re-dispatches
-    the lost tasks; the legacy ``ProcessPoolExecutor`` path re-runs
-    them inline serially once. Only when those recoveries themselves
-    fail does this error propagate.
+    the lost tasks, quarantining a repeat crasher inline. Only when
+    that recovery itself fails does this error propagate.
     """
 
     transient = True

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
 
-from repro.common.errors import BackendError, ExperimentError
+from repro.common.errors import BackendError, DeviceError, ExperimentError
 from repro.common.tables import render_table
 from repro.costs.cpu import CpuCostModel
 from repro.costs.resources import ResourceLimits
@@ -72,22 +72,10 @@ class HarnessConfig:
     #: On-card staging buffers of the modeled transfer/compute overlap
     #: pipeline (1 = the flat serial sum, the original model).
     buffers: int = 1
-    #: Pool implementation for ``workers > 1`` (``thread``/``process``).
-    pool: str = "thread"
-    #: Whether process-pool dispatch may use the zero-copy shared-
-    #: memory CST plane (wall-clock only; off = legacy pickled handoff).
-    shm: bool = True
-    #: Whether ``pool="process"`` runs through the warm supervised
-    #: worker pool (workers forked once per context, host faults
-    #: recovered). Off = a cold ``ProcessPoolExecutor`` per execute
-    #: stage, the pre-pool baseline. Wall-clock only.
-    warm_pool: bool = True
-    #: Consecutive partitions grouped into one warm-pool dispatch
-    #: (``--task-chunk``; 1 = one task per partition).
-    task_chunk: int = 1
-    #: Tasks a warm worker serves before recycling (``--pool-ttl``;
-    #: 0 = never).
-    pool_ttl: int = 0
+    #: Worker-pool kind for ``workers > 1``, kept so configs that name
+    #: it keep working: the warm supervised process pool is the only
+    #: one, and any other value is rejected.
+    pool: str = "process"
     #: Warm-pool watchdog seconds before an in-flight dispatch is
     #: hedged (``--pool-watchdog``; 0 disables).
     pool_watchdog_s: float = 30.0
@@ -126,6 +114,13 @@ class HarnessConfig:
     #: serving layer maps that to the ``DEADLINE`` status
     #: (docs/serving.md).
     deadline_s: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.pool != "process":
+            raise DeviceError(
+                f"unknown pool {self.pool!r}; the warm process pool "
+                f"is the only one"
+            )
 
 
 def tight_config(base: HarnessConfig | None = None) -> HarnessConfig:
@@ -254,11 +249,6 @@ def make_context(
         executor=ExecutorConfig(
             workers=config.workers,
             buffers=config.buffers,
-            pool=config.pool,
-            shm=config.shm,
-            warm=config.warm_pool,
-            task_chunk=config.task_chunk,
-            pool_ttl=config.pool_ttl,
             watchdog_s=config.pool_watchdog_s,
         ),
         host_fault_plan=host_fault_plan,

@@ -31,13 +31,12 @@ single-SLR placements (docs/devices.md).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.common.errors import DeviceError, FatalDeviceError
 from repro.costs.cpu import CpuCostModel
 from repro.cst.partition import PartitionLimits
-from repro.cst.structure import CST, ENTRY_BYTES
+from repro.cst.structure import CST, ENTRY_BYTES, CstDescriptor
 from repro.cst.workload import estimate_workload
 from repro.fpga.catalog import DeviceSpec, parse_fleet
 from repro.fpga.config import FpgaConfig
@@ -49,7 +48,12 @@ from repro.host.pcie import PcieLink
 from repro.host.runtime import _ledger_scaled_limits
 from repro.query.query_graph import QueryGraph
 from repro.runtime.context import RunContext, RunMetrics
-from repro.runtime.executor import PartitionExecutor, Task, overlap_schedule
+from repro.runtime.executor import (
+    Task,
+    dispatch_partitions,
+    overlap_schedule,
+    resolve_partition,
+)
 from repro.runtime.faults import DEVICE_DEAD, FaultEvent
 from repro.runtime.journal import (
     report_from_dict,
@@ -71,25 +75,26 @@ from repro.runtime.tracing import (
 def _run_device(
     cfg: FpgaConfig,
     variant: str,
-    parts: list[CST],
+    parts: tuple[CST | CstDescriptor, ...],
     match_plan: MatchPlan,
     result_vertices: int,
     trace_modules: bool = False,
 ) -> tuple[KernelReport, float, list[tuple[float, float]], float]:
     """One device's whole queue: transfers, kernels, result fetch.
 
-    Module-level with picklable arguments so device queues can run
-    under a process pool. Returns ``(merged_kernel, pcie_seconds,
-    segments, fetch_seconds)`` where ``segments`` holds one
-    ``(write, kernel)`` pair per partition for the device's own
-    double-buffered overlap timeline.
+    Module-level with picklable arguments so device queues can run in
+    pool workers. Returns ``(merged_kernel, pcie_seconds, segments,
+    fetch_seconds)`` where ``segments`` holds one ``(write, kernel)``
+    pair per partition for the device's own double-buffered overlap
+    timeline.
     """
     engine = FastEngine(cfg, variant, trace_modules=trace_modules)
     link = PcieLink(cfg)
     kernel: KernelReport | None = None
     segments: list[tuple[float, float]] = []
     pcie = 0.0
-    for part in parts:
+    for ref in parts:
+        part = resolve_partition(ref)
         cost = link.send_to_card(part.size_bytes())
         pcie += cost
         report = engine.run(part, plan=match_plan)
@@ -103,25 +108,6 @@ def _run_device(
     )
     pcie += fetch
     return kernel, pcie, segments, fetch
-
-
-def _run_device_desc(
-    cfg: FpgaConfig,
-    variant: str,
-    descs: tuple,
-    match_plan: MatchPlan,
-    result_vertices: int,
-    trace_modules: bool = False,
-) -> tuple[KernelReport, float, list[tuple[float, float]], float]:
-    """:func:`_run_device` with its queue delivered over the
-    shared-memory CST plane: the task pickles a tuple of
-    :class:`~repro.cst.structure.CstDescriptor` handles instead of the
-    partition payloads, and the worker rebuilds read-only zero-copy
-    views (see :mod:`repro.runtime.shm`)."""
-    parts = [CST.from_descriptor(d) for d in descs]
-    return _run_device(
-        cfg, variant, parts, match_plan, result_vertices, trace_modules
-    )
 
 
 @dataclass
@@ -426,12 +412,9 @@ class MultiFpgaRunner:
                     device.workload = 0.0
                     device.num_csts = 0
             # Device queues are independent (Definition 2), so they
-            # dispatch through the worker pool as one task per device
-            # and merge back in device-index order. The warm
-            # supervised pool (when the context carries one) makes a
-            # worker crash mid-queue a recoverable event.
+            # dispatch as one task per device and merge back in
+            # device-index order.
             exec_cfg = ctx.executor
-            pool = PartitionExecutor(exec_cfg, warm=ctx.ensure_pool())
             active = [d for d in devices if assignment[d.index]]
 
             # Crash safety: each completed device queue is one durable
@@ -477,45 +460,13 @@ class MultiFpgaRunner:
 
             pending = [d for d in active if d.index not in done]
 
-            # Device queues crossing a process boundary go over the
-            # shared-memory CST plane: descriptors in the pipe, the
-            # partition arrays mapped once per worker. Falls back to
-            # pickled queues (with a warning) when shared memory is
-            # unavailable or disabled.
-            use_pool = exec_cfg.workers > 1 and len(pending) > 1
-            arena = None
-            cst_plane = "local"
-            if exec_cfg.pool == "process" and use_pool:
-                if exec_cfg.shm:
-                    arena = ctx.ensure_arena()
-                    if arena is None:
-                        warnings.warn(
-                            "shared-memory CST plane unavailable; "
-                            "process-pool device queues fall back to "
-                            "pickled CSTs",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                cst_plane = "shm" if arena is not None else "pickle"
-            if arena is not None:
-                tasks: list[Task] = [
-                    (_run_device_desc,
-                     (configs[d.index], self.variant,
-                      tuple(
-                          arena.descriptor_for(p)
-                          for p in assignment[d.index]
-                      ),
-                      plan.match_plan, q.num_vertices,
-                      ctx.tracer.enabled))
-                    for d in pending
-                ]
-            else:
-                tasks = [
-                    (_run_device,
-                     (configs[d.index], self.variant, assignment[d.index],
-                      plan.match_plan, q.num_vertices, ctx.tracer.enabled))
-                    for d in pending
-                ]
+            tasks: list[Task] = [
+                (_run_device,
+                 (configs[d.index], self.variant,
+                  tuple(assignment[d.index]), plan.match_plan,
+                  q.num_vertices, ctx.tracer.enabled))
+                for d in pending
+            ]
 
             def on_device_done(pos: int, result: tuple) -> None:
                 idx = pending[pos].index
@@ -531,26 +482,7 @@ class MultiFpgaRunner:
                         "fetch_seconds": fetch,
                     })
 
-            def pickled_device_fallback(pos: int) -> Task:
-                # A worker lost the shm plane mid-queue: re-dispatch
-                # that device's queue with pickled CSTs (same pure
-                # computation, bit-identical result).
-                d = pending[pos]
-                return (_run_device,
-                        (configs[d.index], self.variant,
-                         assignment[d.index], plan.match_plan,
-                         q.num_vertices, ctx.tracer.enabled))
-
-            pool.run(
-                tasks,
-                on_result=on_device_done,
-                uses_shm=(
-                    [True] * len(tasks) if arena is not None else None
-                ),
-                fallback=(
-                    pickled_device_fallback if arena is not None else None
-                ),
-            )
+            dispatch_facts = dispatch_partitions(ctx, tasks, on_device_done)
 
             tracer = ctx.tracer
             device_seconds: list[float] = []
@@ -573,7 +505,7 @@ class MultiFpgaRunner:
                     device_seconds.append(timeline + fetch)
                 if tracer.enabled:
                     # Emitted here, in device-index order after the
-                    # pool barrier — never from worker threads — so
+                    # pool barrier — never from pool workers — so
                     # modeled lanes stay deterministic at any workers.
                     trace_device_lanes(
                         tracer, device.index, schedule,
@@ -611,10 +543,8 @@ class MultiFpgaRunner:
                 breaker_open_devices=tuple(sorted(opened)),
                 workers=exec_cfg.workers,
                 buffers=exec_cfg.buffers,
-                pool=exec_cfg.pool,
-                executor_pool_effective=exec_cfg.pool,
-                cst_plane=cst_plane,
                 overlap_timeline=device_timelines,
+                **dispatch_facts,
             )
             if journal is not None:
                 st.note(

@@ -1,11 +1,7 @@
 """Declared-family metrics registry: one source for every exporter.
 
-Before this module, the ``fast_*`` Prometheus families lived in two
-ad-hoc emitters — :func:`repro.runtime.tracing.metrics_to_prometheus`
-built the per-run families from a metrics payload, and
-``MatchServer.metrics_text`` hand-rolled the ``fast_serve_*`` ones —
-so an end-of-run ``--metrics-out`` file and a live scrape could
-silently diverge. Now every family is *declared once* in
+So that an end-of-run ``--metrics-out`` file and a live scrape cannot
+silently diverge, every ``fast_*`` Prometheus family is *declared once* in
 :data:`FAMILIES` (name, type, help, suffix, buckets) and every sample
 flows through a :class:`MetricsRegistry`:
 
@@ -63,8 +59,8 @@ def run_families(prefix: str = "fast") -> tuple[FamilySpec, ...]:
         FamilySpec(
             f"{p}_executor_info", "gauge",
             "One labeled series describing execute-stage dispatch: the "
-            "requested and effective worker pool and the CST plane "
-            "(shm, pickle, or local) tasks crossed it on.",
+            "path taken (inline or process pool), the CST plane (shm, "
+            "pickle, or local) tasks crossed it on, and the workers.",
         ),
         FamilySpec(f"{p}_embeddings_found", "counter",
                    "Embeddings found by this run.", suffix="_total"),
@@ -306,11 +302,11 @@ def build_run_registry(
 ) -> MetricsRegistry:
     """A registry populated from one run's metrics payload.
 
-    The population mirrors the legacy ``metrics_to_prometheus``
-    emission exactly (family order, sample order, conditionals), so
-    ``build_run_registry(payload, counters).render()`` is its
-    byte-compatible replacement — and the declared-family check now
-    guards every sample.
+    ``build_run_registry(payload, counters).render()`` is the
+    ``--metrics-out`` exposition of a run; ``counters`` is the
+    tracer's counter map (journal appends/replays and friends), which
+    may be empty — the exposition works with tracing disabled. The
+    declared-family check guards every sample.
     """
     reg = MetricsRegistry(run_families(prefix))
     p = prefix
@@ -329,10 +325,6 @@ def build_run_registry(
         reg.set(f"{p}_executor_info", {
             **base,
             "pool": str(execute.get("pool", "")),
-            "pool_effective": str(
-                execute.get("executor_pool_effective",
-                            execute.get("pool", ""))
-            ),
             "cst_plane": str(execute.get("cst_plane", "local")),
             "workers": str(execute.get("workers", 1)),
         }, 1.0)
@@ -360,7 +352,7 @@ def build_run_registry(
         if key in source:
             reg.set(f"{p}_partitions", {**base, "kind": kind},
                     float(source[key]))
-    if execute.get("pool_warm"):
+    if execute.get("pool") == "process":
         for event in ("spawned", "respawns", "redispatches", "hedges",
                       "quarantines", "shm_fallbacks", "stall_kills",
                       "recycled"):

@@ -25,8 +25,8 @@ from repro.runtime.context import (
 )
 from repro.runtime.executor import (
     ExecutorConfig,
-    PartitionExecutor,
     PartitionOutcome,
+    dispatch_partitions,
     overlap_timeline,
 )
 from repro.runtime.faults import (
@@ -69,7 +69,6 @@ __all__ = [
     "FaultPlan",
     "HealthReport",
     "MergedRun",
-    "PartitionExecutor",
     "PartitionOutcome",
     "RetryPolicy",
     "RunContext",
@@ -79,6 +78,7 @@ __all__ = [
     "StageMetrics",
     "StagePlan",
     "build_cst_stage",
+    "dispatch_partitions",
     "execute_stage",
     "merge_stage",
     "overlap_timeline",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -42,6 +43,25 @@ from repro.runtime.tracing import MODELED, WALL, Tracer
 
 #: Canonical stage order of the pipeline (documented in docs/runtime.md).
 STAGES = ("plan", "build_cst", "partition", "schedule", "execute", "merge")
+
+
+def build_worker_pool(
+    executor: ExecutorConfig, host_faults: HostFaultPlan | None = None
+) -> WorkerPool | None:
+    """The warm worker pool ``executor`` calls for (``None`` when
+    ``workers == 1``), injecting ``host_faults`` into its workers.
+
+    The one constructor of both a run context's own pool and the
+    serving layer's long-lived shared pool. Workers fork lazily on the
+    pool's first run.
+    """
+    if executor.workers <= 1:
+        return None
+    return WorkerPool(PoolConfig(
+        workers=executor.workers,
+        watchdog_s=executor.watchdog_s,
+        host_faults=host_faults,
+    ))
 
 
 @dataclass
@@ -333,9 +353,9 @@ class RunContext:
     history: list[RunMetrics] = field(default_factory=list)
     #: Cap on ``history`` so long sweeps do not grow without bound.
     max_history: int = 512
-    #: Shared-memory CST plane for process-pool dispatch
+    #: Shared-memory CST plane for worker-pool dispatch
     #: (:mod:`repro.runtime.shm`). Created lazily by
-    #: :meth:`ensure_arena` on the first process-pool execute; a
+    #: :meth:`ensure_arena` on the first pooled execute; a
     #: caller may also inject a longer-lived arena (the serving layer
     #: shares one across coalesced batches), in which case this
     #: context never closes it.
@@ -343,7 +363,7 @@ class RunContext:
     #: Whether :meth:`close` owns ``arena`` (set by ``ensure_arena``;
     #: injected arenas stay owned by their creator).
     arena_owned: bool = field(default=False, repr=False)
-    #: Warm supervised worker pool for ``--pool process`` dispatch
+    #: Warm supervised worker pool for ``workers > 1`` dispatch
     #: (:mod:`repro.runtime.pool`). Created lazily by
     #: :meth:`ensure_pool`; the serving layer injects one shared pool
     #: into every job context so workers survive across batches, in
@@ -457,8 +477,8 @@ class RunContext:
         """The shared-memory CST plane, created on first use.
 
         Returns ``None`` when shared memory is unavailable on the
-        platform (the execute stage then falls back to pickled
-        process-pool payloads — same results, legacy wall clock).
+        platform (pool tasks then carry pickled CSTs — same results,
+        more wall clock).
         """
         if self.arena is not None and not self.arena.closed:
             return self.arena
@@ -473,30 +493,20 @@ class RunContext:
     def ensure_pool(self) -> WorkerPool | None:
         """The warm supervised worker pool, created on first use.
 
-        Returns ``None`` when the executor config does not call for
-        one (serial runs, thread pools, or ``warm=False`` — the cold
-        per-stage ``ProcessPoolExecutor`` baseline). Created after
-        :meth:`ensure_arena` on the execute path, so freshly forked
-        workers inherit the arena's attachments; segments placed
-        later are attached on demand inside the workers.
+        Returns ``None`` for serial runs (``workers == 1``). Created
+        after :meth:`ensure_arena` on the execute path, so freshly
+        forked workers inherit the arena's attachments; segments placed
+        later are attached on demand inside the workers. An owned pool
+        is also closed when the context is garbage-collected, so a
+        context nobody closes leaves no idle workers behind.
         """
-        cfg = self.executor
-        if cfg.pool != "process" or cfg.workers <= 1 or not cfg.warm:
-            return None
-        if self.worker_pool is not None:
-            return self.worker_pool
-        try:
-            self.worker_pool = WorkerPool(PoolConfig(
-                workers=cfg.workers,
-                ttl=cfg.pool_ttl,
-                chunk=cfg.task_chunk,
-                watchdog_s=cfg.watchdog_s,
-                host_faults=self.host_fault_plan,
-            ))
-        except OSError:  # pragma: no cover - fork unavailable
-            self.worker_pool = None
-            return None
-        self.worker_pool_owned = True
+        if self.worker_pool is None:
+            self.worker_pool = build_worker_pool(
+                self.executor, self.host_fault_plan
+            )
+            if self.worker_pool is not None:
+                self.worker_pool_owned = True
+                weakref.finalize(self, self.worker_pool.close)
         return self.worker_pool
 
     def close(self) -> None:

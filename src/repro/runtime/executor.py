@@ -24,15 +24,15 @@ buffer. This module provides both halves of that design:
     overlap rule — and it is monotonically non-increasing in
     ``buffers`` (more staging never hurts).
 
-:class:`PartitionExecutor`
-    Real wall-clock concurrency: a bounded worker pool that runs
-    independent partition tasks (FPGA kernel simulation and CPU-share
-    host matching alike) and returns their results in submission
-    order, so merging is deterministic regardless of scheduling.
-    ``pool="thread"`` shares memory and suits the numpy-bound kernel
-    paths; ``pool="process"`` forks workers and sidesteps the GIL for
-    Python-bound workloads (tasks must then be module-level functions
-    with picklable arguments).
+:func:`dispatch_partitions`
+    Real wall-clock concurrency for independent partition tasks (FPGA
+    kernel simulation and CPU-share host matching alike), shared by the
+    single-device execute stage and the multi-FPGA runner. With one
+    worker (or one task) tasks run inline; otherwise they run on the
+    context's warm supervised :class:`~repro.runtime.pool.WorkerPool`
+    with every CST shipped over the shared-memory arena. Results are
+    delivered per task index, so merging is deterministic regardless
+    of scheduling.
 
 Modeled seconds never depend on ``workers`` — the worker pool changes
 only wall-clock time. ``buffers`` changes only modeled seconds. The
@@ -41,86 +41,54 @@ two knobs are deliberately orthogonal.
 
 from __future__ import annotations
 
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+import time
+import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.common.errors import DeviceError, WorkerCrashError
-from repro.runtime.pool import Task, install_parent_death_tether
+from repro.common.errors import DeviceError
+from repro.cst.structure import CST, CstDescriptor
+from repro.runtime.pool import Task
+from repro.runtime.tracing import WALL
 
-#: Recognised pool implementations.
-POOL_MODES = ("thread", "process")
+if TYPE_CHECKING:  # pragma: no cover - import cycle (context -> executor)
+    from repro.runtime.context import RunContext
 
 __all__ = [
     "ExecutorConfig",
-    "PartitionExecutor",
     "PartitionOutcome",
     "Task",
+    "dispatch_partitions",
     "overlap_schedule",
     "overlap_timeline",
+    "resolve_partition",
+    "uses_pool",
 ]
 
-
-def _process_worker_init() -> None:  # pragma: no cover - worker side
-    """Tie each pool worker's lifetime to its parent.
-
-    A SIGKILLed parent (the crash-injection tests, a real OOM kill)
-    must not leave orphaned workers behind: they would pin the
-    ``multiprocessing`` resource tracker's pipe open and delay the
-    cleanup of shared-memory segments indefinitely. On Linux,
-    ``PR_SET_PDEATHSIG`` delivers SIGKILL to the worker the moment
-    its parent dies; elsewhere (or if ``prctl`` fails) a parent-pid
-    polling thread makes orphans self-exit, so the tether is never a
-    silent no-op.
-    """
-    try:
-        install_parent_death_tether()
-    except Exception:
-        pass
+#: Warm-pool supervision counters noted per execute stage as
+#: ``pool_<name>`` deltas (the pool's own counters are cumulative).
+POOL_STAT_KEYS = (
+    "spawned", "respawns", "redispatches", "hedges", "quarantines",
+    "shm_fallbacks", "stall_kills", "recycled", "chunks",
+)
 
 
 @dataclass(frozen=True)
 class ExecutorConfig:
     """Concurrency and overlap knobs of the execute stage.
 
-    ``workers`` bounds the worker pool that runs independent partition
-    tasks concurrently (1 = inline serial execution, the default).
-    ``buffers`` is the number of on-card partition staging buffers in
-    the modeled timeline (1 = no transfer/compute overlap, the
-    original flat ``pcie + kernel`` sum). ``pool`` picks the wall-clock
-    concurrency mechanism for ``workers > 1``.
+    ``workers`` sizes the warm worker pool that runs independent
+    partition tasks concurrently (1 = inline serial execution, the
+    default). ``buffers`` is the number of on-card partition staging
+    buffers in the modeled timeline (1 = no transfer/compute overlap,
+    the original flat ``pcie + kernel`` sum). ``watchdog_s`` is the
+    wall-clock silence budget (seconds) before an in-flight pool
+    dispatch is hedged; a worker silent past twice this is killed and
+    respawned. 0 disables the watchdog.
     """
 
     workers: int = 1
     buffers: int = 1
-    pool: str = "thread"
-    #: Whether process-pool dispatch may use the zero-copy shared-
-    #: memory CST plane (:mod:`repro.runtime.shm`). Off, partitions
-    #: cross the process boundary pickled — the legacy handoff, kept
-    #: as a benchmark baseline and an escape hatch. Wall-clock only:
-    #: modeled seconds, counts, and fingerprints ignore this knob.
-    shm: bool = True
-    #: Whether ``pool="process"`` dispatch goes through the warm
-    #: supervised :class:`~repro.runtime.pool.WorkerPool` owned by the
-    #: run context (workers forked once, reused across stages and
-    #: serve batches, host faults recovered). Off, each run forks a
-    #: fresh ``ProcessPoolExecutor`` — the cold baseline the warm-pool
-    #: benchmark gates against.
-    warm: bool = True
-    #: Consecutive partitions grouped into one dispatch unit of the
-    #: warm pool (1 = one task per partition). Cuts per-task dispatch
-    #: overhead on long partition streams.
-    task_chunk: int = 1
-    #: Tasks a warm worker serves before it is recycled (0 = never).
-    pool_ttl: int = 0
-    #: Wall-clock silence budget (seconds) before an in-flight warm-
-    #: pool dispatch is hedged; a worker silent past twice this is
-    #: killed and respawned. 0 disables the watchdog.
     watchdog_s: float = 30.0
 
     def __post_init__(self) -> None:
@@ -128,14 +96,6 @@ class ExecutorConfig:
             raise DeviceError("executor workers must be >= 1")
         if self.buffers < 1:
             raise DeviceError("executor buffers must be >= 1")
-        if self.pool not in POOL_MODES:
-            raise DeviceError(
-                f"unknown pool mode {self.pool!r}; choose from {POOL_MODES}"
-            )
-        if self.task_chunk < 1:
-            raise DeviceError("executor task_chunk must be >= 1")
-        if self.pool_ttl < 0:
-            raise DeviceError("executor pool_ttl must be >= 0")
         if self.watchdog_s < 0.0:
             raise DeviceError("executor watchdog_s must be >= 0")
 
@@ -224,134 +184,146 @@ class PartitionOutcome:
     #: running in a *worker process* (which cannot reach the journal
     #: file); the parent appends them — before the partition record,
     #: preserving replay order — on the result-merge path. Empty when
-    #: the supervisor journals directly (inline/thread execution).
+    #: the supervisor journals directly (inline execution).
     ladder_records: list = field(default_factory=list)
 
 
-class PartitionExecutor:
-    """Bounded worker pool with deterministic, index-ordered results.
+def resolve_partition(ref: CST | CstDescriptor) -> CST:
+    """The CST behind a task's partition ref.
 
-    ``run`` executes every task and returns their results in the order
-    the tasks were given, independent of completion order. With
-    ``workers = 1`` (or a single task) tasks run inline on the calling
-    thread, which is the exact pre-pool serial behavior. When a warm
-    supervised :class:`~repro.runtime.pool.WorkerPool` is provided,
-    ``pool="process"`` dispatch goes through it instead of forking a
-    fresh ``ProcessPoolExecutor`` — and worker death, stalls, and shm
-    loss become recoverable events rather than crashes.
+    Tasks built by a caller hold plain :class:`CST` objects; when
+    :func:`dispatch_partitions` ships them to the warm pool it swaps
+    each for a :class:`CstDescriptor` into the shared-memory arena,
+    which is rebuilt here as read-only zero-copy views.
     """
+    return ref if isinstance(ref, CST) else CST.from_descriptor(ref)
 
-    def __init__(
-        self,
-        config: ExecutorConfig | None = None,
-        warm: Any | None = None,
-    ) -> None:
-        self.config = config or ExecutorConfig()
-        #: Optional :class:`~repro.runtime.pool.WorkerPool` to reuse
-        #: (owned by the run context / serve layer, not by us).
-        self.warm = warm
 
-    def run(
-        self,
-        tasks: Sequence[Task],
-        on_result: Callable[[int, Any], None] | None = None,
-        uses_shm: Sequence[bool] | None = None,
-        fallback: Callable[[int], Task] | None = None,
-    ) -> list[Any]:
-        """Execute ``tasks``; results are returned in task order.
+def uses_pool(config: ExecutorConfig, num_tasks: int) -> bool:
+    """Whether :func:`dispatch_partitions` sends ``num_tasks`` tasks to
+    the warm pool (``workers > 1`` and more than one task) rather than
+    running them inline."""
+    return config.workers > 1 and num_tasks > 1
 
-        ``on_result(index, result)`` fires in the calling process as
-        each task *completes* (not in task order), which is what the
-        run journal hooks to persist outcomes the moment they exist —
-        a crash loses at most the in-flight partitions. Callbacks run
-        on the caller's side of any process pool, so they may close
-        over unpicklable state. ``uses_shm`` and ``fallback`` describe
-        shared-memory tasks to the warm pool's shm-loss recovery (see
-        :meth:`repro.runtime.pool.WorkerPool.run`); the thread and
-        legacy process paths ignore them.
-        """
-        cfg = self.config
-        if cfg.workers <= 1 or len(tasks) <= 1:
-            results = []
-            for i, (fn, args) in enumerate(tasks):
-                result = fn(*args)
-                if on_result is not None:
-                    on_result(i, result)
-                results.append(result)
-            return results
-        if self.warm is not None and cfg.pool == "process":
-            return self.warm.run(
-                tasks, on_result, uses_shm=uses_shm, fallback=fallback
-            )
-        workers = min(cfg.workers, len(tasks))
-        if cfg.pool == "process":
-            pool_ctx: Any = ProcessPoolExecutor(
-                max_workers=workers, initializer=_process_worker_init
-            )
-        else:
-            pool_ctx = ThreadPoolExecutor(max_workers=workers)
-        with pool_ctx as pool:
-            futures = [pool.submit(fn, *args) for fn, args in tasks]
-            results = [None] * len(tasks)
-            delivered = [False] * len(tasks)
 
-            def deliver(i: int, value: Any) -> None:
-                results[i] = value
-                delivered[i] = True
-                if on_result is not None:
-                    on_result(i, value)
+def _shared_arg(arena: Any, arg: Any) -> Any:
+    """``arg`` with any CST (or tuple of CSTs) swapped for descriptors."""
+    if isinstance(arg, CST):
+        return arena.descriptor_for(arg)
+    if (
+        isinstance(arg, tuple) and arg
+        and all(isinstance(part, CST) for part in arg)
+    ):
+        return tuple(arena.descriptor_for(part) for part in arg)
+    return arg
 
-            try:
-                index_of = {id(f): i for i, f in enumerate(futures)}
-                for f in as_completed(futures):
-                    deliver(index_of[id(f)], f.result())
-            except BrokenExecutor as crash:
-                self._rerun_lost(tasks, futures, delivered, deliver,
-                                 crash)
-            return results
 
-    @staticmethod
-    def _rerun_lost(
-        tasks: Sequence[Task],
-        futures: Sequence[Any],
-        delivered: Sequence[bool],
-        deliver: Callable[[int, Any], None],
-        crash: BaseException,
-    ) -> None:
-        """Recover a broken ``ProcessPoolExecutor`` run.
+def dispatch_partitions(
+    ctx: "RunContext",
+    tasks: Sequence[Task],
+    on_result: Callable[[int, Any], None],
+) -> dict[str, Any]:
+    """Run independent partition tasks; return the stage's dispatch facts.
 
-        A worker died (OOM kill, segfault, operator ``kill -9``) and
-        the executor marked itself broken, cancelling everything in
-        flight. Salvage the futures that did finish, then re-run the
-        lost tasks inline serially — once. Tasks are pure, so the
-        inline results are bit-identical to what the workers would
-        have produced; only wall-clock time changes. A failure during
-        the re-run surfaces as a typed transient
-        :class:`~repro.common.errors.WorkerCrashError`.
-        """
-        for i, f in enumerate(futures):
-            if delivered[i] or not f.done() or f.cancelled():
-                continue
-            exc = f.exception()
-            if exc is None:
-                deliver(i, f.result())
-            elif not isinstance(exc, BrokenExecutor):
-                # The task itself failed before the pool broke;
-                # propagate its own error exactly as before.
-                raise exc
+    ``tasks`` are ``(fn, args)`` pairs with plain CSTs (or tuples of
+    CSTs) in ``args``. ``on_result(index, result)`` fires in this
+    process as each task completes — in index order inline, in
+    completion order on the pool — which is what the run journal hooks
+    to persist outcomes the moment they exist.
+
+    When :func:`uses_pool` says no, tasks run inline in task order.
+    Otherwise the context's shared-memory arena is created *before*
+    its warm pool (so freshly forked workers inherit its attachments),
+    every CST argument is swapped for its arena descriptor, and the
+    original task is kept as the pickled fallback for a worker that
+    loses the segment. The pool is told whether to time its tasks
+    (the context's tracing flag, set on every dispatch), and its
+    supervision events and worker spans are drained onto the
+    context's tracer even when a task or ``on_result`` raises, so they
+    never spill into the next job that shares the pool.
+
+    The returned facts are noted on the calling stage: ``pool``
+    (``inline`` or ``process``), ``cst_plane`` (``local``, ``shm`` or
+    ``pickle``) and, for pooled runs, per-stage ``pool_<counter>``
+    deltas of the pool's cumulative supervision counters.
+    """
+    if not uses_pool(ctx.executor, len(tasks)):
         for i, (fn, args) in enumerate(tasks):
-            if delivered[i]:
-                continue
-            try:
-                deliver(i, fn(*args))
-            except Exception as exc:
-                raise WorkerCrashError(
-                    f"worker pool broke ({crash!r}) and task {i} "
-                    f"failed during the inline re-run: {exc!r}"
-                ) from exc
+            on_result(i, fn(*args))
+        return {"pool": "inline", "cst_plane": "local"}
 
-    def map(
-        self, fn: Callable[..., Any], args_list: Sequence[tuple]
-    ) -> list[Any]:
-        """``run`` over one function with many argument tuples."""
-        return self.run([(fn, args) for args in args_list])
+    arena = ctx.ensure_arena()
+    if arena is None:
+        warnings.warn(
+            "shared-memory CST plane unavailable; pool tasks fall back "
+            "to pickled CSTs",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        if ctx.log is not None:
+            ctx.log.warning(
+                "shm_downgrade",
+                request_id=ctx.tracer.request_id,
+                plane="pickle",
+            )
+    pool = ctx.ensure_pool()
+    shipped: list[Task] = list(tasks)
+    uses_shm = None
+    if arena is not None:
+        uses_shm = []
+        for i, (fn, args) in enumerate(tasks):
+            shared = tuple(_shared_arg(arena, arg) for arg in args)
+            shipped[i] = (fn, shared)
+            uses_shm.append(
+                any(new is not old for new, old in zip(shared, args))
+            )
+    before = pool.stats.to_dict()
+    pool.set_trace(ctx.tracer.enabled)
+    try:
+        pool.run(
+            shipped,
+            on_result,
+            uses_shm=uses_shm,
+            fallback=(lambda i: tasks[i]) if arena is not None else None,
+        )
+    finally:
+        _trace_pool_activity(ctx, pool)
+    after = pool.stats.to_dict()
+    return {
+        "pool": "process",
+        "cst_plane": "shm" if arena is not None else "pickle",
+        **{f"pool_{key}": after[key] - before[key] for key in POOL_STAT_KEYS},
+    }
+
+
+def _trace_pool_activity(ctx: "RunContext", pool: Any) -> None:
+    """Drain the pool's supervision events and worker spans: events go
+    to the context's JSONL log (when set) and, with worker spans, onto
+    the tracer's wall-clock ``pool`` lanes (when tracing).
+
+    Strictly wall-domain: modeled seconds and counts cannot see it.
+    ``perf_counter`` is CLOCK_MONOTONIC and system-wide, so one epoch
+    rebases both parent-side events and worker-side spans. Slot -1 is
+    parent-inline quarantine work.
+    """
+    events = pool.drain_events()
+    worker_spans = pool.drain_worker_spans()
+    tracer = ctx.tracer
+    if ctx.log is not None:
+        for _ts, kind, detail in events:
+            ctx.log.info(
+                f"pool_{kind}", request_id=tracer.request_id, **detail,
+            )
+    if not tracer.enabled or not (events or worker_spans):
+        return
+    epoch = time.perf_counter() - tracer.now_wall()
+    for ts, kind, detail in events:
+        tracer.instant(
+            "pool", kind, max(0.0, ts - epoch), clock=WALL, **detail,
+        )
+    for slot, name, start, seconds, args in worker_spans:
+        lane = "pool/parent" if slot < 0 else f"pool/worker{slot}"
+        tracer.span(
+            lane, name, max(0.0, start - epoch), seconds, clock=WALL,
+            **args,
+        )

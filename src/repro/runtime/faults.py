@@ -317,18 +317,17 @@ class RetryPolicy:
 class SupervisorCore:
     """The picklable core of the execute-stage partition supervisor.
 
-    The degradation ladder used to close over the whole
-    :class:`~repro.runtime.context.RunContext` (cache lock, journal
-    file handle, tracer), which does not pickle — so supervised runs
-    silently downgraded ``--pool process`` to threads. This bundle
-    extracts exactly what a ladder task needs, all of it frozen
+    The whole :class:`~repro.runtime.context.RunContext` (cache lock,
+    journal file handle, tracer) does not pickle, so it cannot ride a
+    task into a pool worker. This bundle extracts exactly what a
+    ladder task needs, all of it frozen
     dataclasses and scalars: :class:`FaultPlan` decisions are pure in
     ``(seed, kind, scope)`` and :class:`RetryPolicy` backoff is pure in
     ``(seed, attempt, scope)``, so a worker process reproduces the
     parent's fault schedule bit-identically. The data graph itself is
     reduced to the two scalars the host cost model reads.
 
-    Cache and journal writes stay on the parent: a process-pool ladder
+    Cache and journal writes stay on the parent: a pool-worker ladder
     accumulates its write-ahead rung records in
     :attr:`~repro.runtime.executor.PartitionOutcome.ladder_records`
     and the parent journals them on the result-merge path.

@@ -1,12 +1,11 @@
 """Supervised warm worker pool: host faults as recoverable events.
 
-The execute stage used to fork a fresh ``ProcessPoolExecutor`` per
-run and treat worker death as fatal — a single OOM-killed worker
-surfaced as an unhandled ``BrokenProcessPool`` and lost the run (and,
-under ``repro serve``, the batch). This module replaces that with a
-long-lived :class:`WorkerPool` that makes the host-fault story match
-the modeled-fault story (retry → re-partition → CPU fallback): every
-host failure has a bounded, deterministic-in-value recovery path.
+The execute stage's ``workers > 1`` path runs on a long-lived
+:class:`WorkerPool` that makes the host-fault story match the
+modeled-fault story (retry → re-partition → CPU fallback): a worker
+killed by OOM, a segfault or ``kill -9`` never loses the run (or,
+under ``repro serve``, the batch), because every host failure has a
+bounded, deterministic-in-value recovery path.
 
 Design, in one pass:
 
@@ -31,10 +30,10 @@ Design, in one pass:
   the parent swaps in a pickled fallback payload for that task and
   re-dispatches, so losing the zero-copy plane degrades wall-clock
   only.
-* **Chunked.** Small partitions are grouped, in index order, into
-  multi-partition chunks (``task_chunk``) to cut per-task dispatch
-  overhead on long partition streams; a chunk is the unit of
-  dispatch, hedging, and crash accounting.
+* **Chunked.** Long partition streams are grouped, in index order,
+  into multi-partition chunks sized by :func:`chunk_size` to cut
+  per-task dispatch overhead; a chunk is the unit of dispatch,
+  hedging, and crash accounting.
 
 Determinism: task *values* never depend on supervision. Tasks are
 pure functions of their arguments, results are keyed by task index,
@@ -237,13 +236,23 @@ def _error_reply(
             traceback.format_exc())
 
 
+def chunk_size(num_tasks: int, workers: int) -> int:
+    """Consecutive tasks per dispatch: about 32 chunks per worker.
+
+    Short streams (a serve request's handful of partitions) keep one
+    task per chunk, so hedging and crash accounting stay per task;
+    long ones (thousands of partitions on a tiny device) amortize the
+    pipe round-trip over several tasks.
+    """
+    return max(1, num_tasks // (32 * workers))
+
+
 @dataclass(frozen=True)
 class PoolConfig:
     """Shape and supervision knobs of a :class:`WorkerPool`.
 
     All wall-clock domain. ``ttl`` recycles a worker after that many
-    tasks (0 = never), bounding drift from leaked state; ``chunk``
-    groups that many consecutive tasks per dispatch; ``watchdog_s``
+    tasks (0 = never), bounding drift from leaked state; ``watchdog_s``
     is the silence budget before a dispatch is hedged (stall-kill at
     twice that; 0 disables); ``max_crashes`` is how many worker
     deaths a chunk may cause before it is quarantined inline.
@@ -251,7 +260,6 @@ class PoolConfig:
 
     workers: int = 2
     ttl: int = 0
-    chunk: int = 1
     watchdog_s: float = 30.0
     max_crashes: int = 2
     heartbeat_s: float = 0.2
@@ -262,8 +270,6 @@ class PoolConfig:
             raise DeviceError("pool workers must be >= 1")
         if self.ttl < 0:
             raise DeviceError("pool ttl must be >= 0")
-        if self.chunk < 1:
-            raise DeviceError("pool task chunk must be >= 1")
         if self.watchdog_s < 0.0:
             raise DeviceError("pool watchdog must be >= 0")
         if self.max_crashes < 1:
@@ -514,9 +520,9 @@ class WorkerPool:
         if not tasks:
             return []
         self.ensure_workers()
-        chunk_size = max(1, self.config.chunk)
+        size = chunk_size(len(tasks), self.config.workers)
         chunks: list[_Chunk] = []
-        for start in range(0, len(tasks), chunk_size):
+        for start in range(0, len(tasks), size):
             items = [
                 (
                     i,
@@ -524,7 +530,7 @@ class WorkerPool:
                     tasks[i][1],
                     bool(uses_shm[i]) if uses_shm is not None else False,
                 )
-                for i in range(start, min(start + chunk_size, len(tasks)))
+                for i in range(start, min(start + size, len(tasks)))
             ]
             chunks.append(_Chunk(items))
         self.stats.chunks += len(chunks)

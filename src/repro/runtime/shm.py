@@ -1,10 +1,9 @@
-"""Zero-copy shared-memory CST plane for the process pool.
+"""Zero-copy shared-memory CST plane for the worker pool.
 
-``--pool process`` sidesteps the GIL, but pickling every partition's
-CST payload per task used to eat the win: candidates and CSR adjacency
-arrays were serialized into the call pipe, copied into the worker, and
-deserialized again — per partition, per attempt. This module keeps the
-arrays out of the pipe entirely:
+Pickling every partition's CST payload per task would serialize the
+candidates and CSR adjacency arrays into the call pipe, copy them into
+the worker, and deserialize them again — per partition, per attempt.
+This module keeps the arrays out of the pipe entirely:
 
 :class:`CstArena`
     A bump allocator over named ``multiprocessing.shared_memory``
@@ -21,7 +20,7 @@ arrays out of the pipe entirely:
     read-only; under the default ``fork`` start method they usually
     inherit the parent's mapping and never even hit the filesystem.
 
-Lifecycle: the arena is created lazily on the first process-pool
+Lifecycle: the arena is created lazily on the first pooled
 dispatch (:meth:`repro.runtime.context.RunContext.ensure_arena`),
 closed and unlinked by ``RunContext.close()`` / the CLI ``finally``
 path, and backstopped by an ``atexit`` guard. A SIGKILLed owner leaks

@@ -32,8 +32,6 @@ modeled number is independent of cache state.
 
 from __future__ import annotations
 
-import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -51,7 +49,6 @@ from repro.cst.partition import (
 )
 from repro.cst.structure import CST, CstDescriptor, ENTRY_BYTES
 from repro.cst.workload import estimate_workload
-from repro.fpga.config import FpgaConfig
 from repro.fpga.engine import FastEngine
 from repro.fpga.kernel import MatchPlan, build_plan
 from repro.fpga.report import KernelReport
@@ -64,11 +61,12 @@ from repro.query.query_graph import QueryGraph, as_query
 from repro.query.spanning_tree import SpanningTree, build_bfs_tree, choose_root
 from repro.runtime.context import RunContext
 from repro.runtime.executor import (
-    ExecutorConfig,
-    PartitionExecutor,
     PartitionOutcome,
     Task,
+    dispatch_partitions,
     overlap_schedule,
+    resolve_partition,
+    uses_pool,
 )
 from repro.runtime.faults import FAULT_ERRORS, FaultEvent, SupervisorCore
 from repro.runtime.journal import (
@@ -81,7 +79,6 @@ from repro.runtime.journal import (
 )
 from repro.runtime.tracing import (
     MODELED,
-    WALL,
     device_lane_prefix,
     trace_device_lanes,
 )
@@ -353,10 +350,9 @@ def _attempt_partition(
     backoff_seconds, events, last_fault_kind)`` where ``report`` is
     ``None`` once the retry budget is exhausted (the caller walks the
     degradation ladder). Events are returned, not recorded, so the
-    call is free of shared mutable state and safe under the execute
-    stage's worker pool — threads and processes alike, since ``core``
-    is the picklable supervision bundle; the caller records them in
-    partition order.
+    call is free of shared mutable state and runs in a pool worker
+    as well as inline, since ``core`` is the picklable supervision
+    bundle; the caller records them in partition order.
     """
     policy = core.retry_policy
     fplan = core.fault_plan
@@ -415,7 +411,7 @@ def _attempt_partition(
 
 def _tightened_subpartitions(
     part: CST,
-    plan: StagePlan,
+    order: tuple[int, ...],
     limits: PartitionLimits,
 ) -> tuple[list[CST], PartitionStats] | None:
     """Re-split a failed partition under a halved ``delta_S``.
@@ -435,7 +431,7 @@ def _tightened_subpartitions(
         max_degree=limits.max_degree,
     )
     try:
-        parts, stats = partition_to_list(part, plan.order, tightened)
+        parts, stats = partition_to_list(part, order, tightened)
     except PartitionError:
         return None
     if len(parts) <= 1:
@@ -443,58 +439,42 @@ def _tightened_subpartitions(
     return parts, stats
 
 
-def _run_fpga_partition(
-    cfg: FpgaConfig,
-    variant: str,
-    part: CST,
-    match_plan: MatchPlan,
-    collect_results: bool,
-    trace_modules: bool = False,
-) -> KernelReport:
-    """Fault-free kernel launch of one FPGA partition.
-
-    A module-level function closed over nothing, so tasks pickle and
-    the fault-free path can run under a process pool. Each task builds
-    a private engine: :class:`FastEngine` holds only configuration, so
-    a fresh instance is behaviorally identical to a shared one while
-    keeping workers free of shared state.
-    """
-    engine = FastEngine(cfg, variant, trace_modules=trace_modules)
-    return engine.run(part, collect_results=collect_results, plan=match_plan)
-
-
 def _run_cpu_partition(
-    part: CST, order: tuple[int, ...]
+    ref: CST | CstDescriptor, order: tuple[int, ...]
 ) -> tuple[list[tuple[int, ...]], CpuMatchCounters]:
-    """Host matcher over one CPU-share (or fallback) partition.
+    """Host matcher over one CPU-share (or fallback) partition — the
+    CPU task of the execute stage.
 
     Counters are private to the task and merged by the caller in
     partition order; integer sums are order-independent, so the
     modeled CPU-share seconds are identical to the old serial loop.
     """
     counters = CpuMatchCounters()
-    found = cst_embeddings(part, order, counters=counters)
+    found = cst_embeddings(resolve_partition(ref), order, counters=counters)
     return found, counters
 
 
 def _supervise_partition(
     core: SupervisorCore,
-    plan: StagePlan,
+    order: tuple[int, ...],
+    match_plan: MatchPlan,
     limits: PartitionLimits | None,
     collect_results: bool,
     ladder_replay: dict,
-    part: CST,
+    ref: CST | CstDescriptor,
     idx: int,
     journal_append: Callable[[dict], Any] | None = None,
 ) -> PartitionOutcome:
-    """Degradation ladder for one FPGA partition, as a pool task.
+    """Degradation ladder for one FPGA partition — the FPGA task of the
+    execute stage.
 
-    Every input is picklable (``core`` is the extracted
-    :class:`~repro.runtime.faults.SupervisorCore`), so supervised
-    partitions run under thread *and process* pools alike — the old
-    silent thread-downgrade of ``--pool process`` is gone. Fault
-    decisions and backoff are pure in the seed and scope, so a worker
-    process reproduces the parent's schedule bit-identically.
+    Every input but ``journal_append`` is picklable (``core`` is the
+    extracted :class:`~repro.runtime.faults.SupervisorCore`), so the
+    task runs inline and in pool workers alike. Fault decisions and
+    backoff are pure in the seed and scope, so a worker process
+    reproduces the parent's schedule bit-identically. Without a fault
+    plan the ladder is one clean attempt, whose outcome is a single
+    ``(pcie, kernel)`` segment and no events.
 
     An explicit worklist replaces the old recursive ``supervise``
     closure, so arbitrarily deep re-partition ladders cannot hit
@@ -510,7 +490,7 @@ def _supervise_partition(
     With a run journal active, each rung decision (retries exhausted →
     re-partition or CPU fallback) becomes a write-ahead ``ladder``
     record: through ``journal_append`` the moment it is decided when
-    the task shares the parent's memory, or accumulated on
+    the task runs inline, or accumulated on
     ``out.ladder_records`` and journaled by the parent just before the
     partition record when the task runs in a worker process (the
     journal's fd does not cross that boundary). Either way the record
@@ -526,7 +506,9 @@ def _supervise_partition(
                         trace_modules=core.trace_modules)
     link = PcieLink(core.fpga)
     out = PartitionOutcome()
-    stack: list[tuple[CST, tuple, bool]] = [(part, ("partition", idx), True)]
+    stack: list[tuple[CST, tuple, bool]] = [
+        (resolve_partition(ref), ("partition", idx), True)
+    ]
     while stack:
         cur, scope, may_repartition = stack.pop()
         replayed = ladder_replay.get(scope)
@@ -544,7 +526,7 @@ def _supervise_partition(
             report, pcie, overhead, backoff, events, last_kind = (
                 _attempt_partition(
                     core, engine, link, cur, scope,
-                    plan.match_plan, collect_results,
+                    match_plan, collect_results,
                 )
             )
         out.pcie_seconds += pcie
@@ -560,7 +542,7 @@ def _supervise_partition(
             continue
         split = None
         if may_repartition and limits is not None:
-            split = _tightened_subpartitions(cur, plan, limits)
+            split = _tightened_subpartitions(cur, order, limits)
         if replayed is None:
             # Write-ahead: the rung decision is durable (or queued for
             # the parent's result-merge append) before the
@@ -603,51 +585,8 @@ def _supervise_partition(
             attempt=policy.max_retries, action="cpu_fallback",
         ))
         out.segments.append((pcie, overhead))
-        out.fallbacks.append(_run_cpu_partition(cur, plan.order))
+        out.fallbacks.append(_run_cpu_partition(cur, order))
     return out
-
-
-# -- shared-memory task wrappers ---------------------------------------
-#
-# Identical to their pickled counterparts except the CST crosses the
-# process boundary as a :class:`CstDescriptor` and is reconstructed as
-# read-only zero-copy views on the worker side. Module-level so they
-# pickle; behaviorally equivalent by the descriptor round-trip tests.
-
-
-def _run_fpga_partition_desc(
-    cfg: FpgaConfig,
-    variant: str,
-    desc: CstDescriptor,
-    match_plan: MatchPlan,
-    collect_results: bool,
-    trace_modules: bool = False,
-) -> KernelReport:
-    return _run_fpga_partition(
-        cfg, variant, CST.from_descriptor(desc), match_plan,
-        collect_results, trace_modules,
-    )
-
-
-def _run_cpu_partition_desc(
-    desc: CstDescriptor, order: tuple[int, ...]
-) -> tuple[list[tuple[int, ...]], CpuMatchCounters]:
-    return _run_cpu_partition(CST.from_descriptor(desc), order)
-
-
-def _supervise_partition_desc(
-    core: SupervisorCore,
-    plan: StagePlan,
-    limits: PartitionLimits | None,
-    collect_results: bool,
-    ladder_replay: dict,
-    desc: CstDescriptor,
-    idx: int,
-) -> PartitionOutcome:
-    return _supervise_partition(
-        core, plan, limits, collect_results, ladder_replay,
-        CST.from_descriptor(desc), idx,
-    )
 
 
 def execute_stage(
@@ -660,7 +599,6 @@ def execute_stage(
     cpu_share_threads: int = 8,
     cpu_thread_efficiency: float = 0.45,
     limits: PartitionLimits | None = None,
-    executor: ExecutorConfig | None = None,
 ) -> ExecuteOutcome:
     """Kernel over FPGA partitions + basic matcher over CPU partitions.
 
@@ -672,15 +610,14 @@ def execute_stage(
     transfer of partition *i* overlaps the kernels of the previous
     ``buffers - 1`` launches (host-side re-partition cost and the
     result fetch stay serial). Independent partitions — FPGA and
-    CPU-share alike — are dispatched through a
-    :class:`PartitionExecutor` worker pool (``executor`` overrides
-    ``ctx.executor``); results merge in partition-index order, so
-    counts, results, modeled seconds, and the health record do not
-    depend on ``workers``.
+    CPU-share alike — are dispatched through
+    :func:`~repro.runtime.executor.dispatch_partitions`; results merge
+    in partition-index order, so counts, results, modeled seconds, and
+    the health record do not depend on ``workers``.
 
-    With a fault plan active on the context, every FPGA partition runs
-    under a supervisor implementing the degradation ladder (see
-    docs/robustness.md):
+    Every FPGA partition runs under a supervisor implementing the
+    degradation ladder (see docs/robustness.md); without a fault plan
+    on the context that is a single clean launch:
 
     1. transient faults retry under ``ctx.retry_policy`` (backoff
        charged to wall and modeled time);
@@ -706,8 +643,7 @@ def execute_stage(
     """
     cfg = ctx.fpga
     q = plan.query
-    exec_cfg = executor if executor is not None else ctx.executor
-    supervised = ctx.fault_plan is not None
+    exec_cfg = ctx.executor
     journal = ctx.journal
     ladder_replay = (
         journal.ladder_records()
@@ -723,7 +659,7 @@ def execute_stage(
         cpu_cost=ctx.cpu_cost,
         avg_degree=data.average_degree(),
         num_vertices=data.num_vertices,
-    ) if supervised else None
+    )
     with ctx.stage("execute") as st:
         link = PcieLink(cfg)
         kernel_total = KernelReport(
@@ -803,136 +739,46 @@ def execute_stage(
         check_deadline()  # a replayed prefix may already exceed it
 
         # FPGA and CPU-share partitions are all independent, so one
-        # pool dispatch covers both; only work the journal has not
-        # already completed is dispatched. Completion callbacks run on
-        # the calling thread and persist each outcome as it lands.
+        # dispatch covers both; only work the journal has not already
+        # completed is dispatched. Completion callbacks run in this
+        # process and persist each outcome as it lands.
         pending_fpga = [i for i in range(n_fpga) if i not in outcomes]
         pending_cpu = [j for j in range(n_cpu) if j not in cpu_done]
 
-        # Zero-copy shared-memory CST plane: when partitions cross a
-        # process boundary, their backing arrays are registered once in
-        # a CstArena and tasks carry only (segment, offset, shape)
-        # descriptors — workers attach and rebuild read-only views,
-        # so dispatch cost is independent of partition size. Falls
-        # back to the legacy pickled handoff (with a warning) when
-        # shared memory is unavailable or disabled.
-        use_pool = (
-            exec_cfg.workers > 1 and len(pending_fpga) + len(pending_cpu) > 1
+        # Inline supervisors journal each ladder rung write-ahead; pool
+        # workers cannot reach the journal fd, so their rung records
+        # ride back on the outcome and on_done appends them before the
+        # partition record, preserving replay order.
+        journal_append = (
+            journal.append
+            if journal is not None and journal.active
+            and not uses_pool(exec_cfg, len(pending_fpga) + len(pending_cpu))
+            else None
         )
-        arena = None
-        cst_plane = "local"
-        if exec_cfg.pool == "process" and use_pool:
-            if exec_cfg.shm:
-                arena = ctx.ensure_arena()
-                if arena is None:
-                    warnings.warn(
-                        "shared-memory CST plane unavailable; process-pool"
-                        " tasks fall back to pickled CSTs",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    if ctx.log is not None:
-                        ctx.log.warning(
-                            "shm_downgrade",
-                            request_id=ctx.tracer.request_id,
-                            plane="pickle",
-                        )
-            cst_plane = "shm" if arena is not None else "pickle"
-        # Warm supervised worker pool: forked once on the context and
-        # reused across execute stages (and serve batches), with
-        # worker death / stalls / shm loss recovered instead of
-        # crashing the run. Created *after* the arena so fresh workers
-        # inherit its attachments. An explicit ``executor`` override
-        # that differs from the context's config keeps the legacy
-        # per-stage pool — the context's pool was sized for its own
-        # config.
-        warm = None
-        if (
-            exec_cfg.pool == "process" and use_pool
-            and exec_cfg == ctx.executor
-        ):
-            warm = ctx.ensure_pool()
-        pool = PartitionExecutor(exec_cfg, warm=warm)
-        pool_stats0 = warm.stats.to_dict() if warm is not None else None
+        tasks: list[Task] = [
+            (_supervise_partition,
+             (core, plan.order, plan.match_plan, limits, collect_results,
+              ladder_replay, work.fpga_parts[i], i, journal_append))
+            for i in pending_fpga
+        ]
+        tasks += [
+            (_run_cpu_partition, (work.cpu_parts[j], plan.order))
+            for j in pending_cpu
+        ]
 
-        if supervised:
-            # Inline/thread supervisors share the parent's memory and
-            # journal each ladder rung write-ahead; process-pool
-            # supervisors cannot reach the journal fd, so rung records
-            # ride back on the outcome and the parent appends them in
-            # on_done — before the partition record, preserving order.
-            journal_append = (
-                journal.append
-                if journal is not None and journal.active
-                and not (exec_cfg.pool == "process" and use_pool)
-                else None
-            )
-            if arena is not None:
-                fpga_tasks: list[Task] = [
-                    (_supervise_partition_desc,
-                     (core, plan, limits, collect_results, ladder_replay,
-                      arena.descriptor_for(work.fpga_parts[i]), i))
-                    for i in pending_fpga
-                ]
-            else:
-                fpga_tasks = [
-                    (_supervise_partition,
-                     (core, plan, limits, collect_results, ladder_replay,
-                      work.fpga_parts[i], i, journal_append))
-                    for i in pending_fpga
-                ]
-        elif arena is not None:
-            fpga_tasks = [
-                (_run_fpga_partition_desc,
-                 (cfg, engine_variant,
-                  arena.descriptor_for(work.fpga_parts[i]), plan.match_plan,
-                  collect_results, ctx.tracer.enabled))
-                for i in pending_fpga
-            ]
-        else:
-            fpga_tasks = [
-                (_run_fpga_partition,
-                 (cfg, engine_variant, work.fpga_parts[i], plan.match_plan,
-                  collect_results, ctx.tracer.enabled))
-                for i in pending_fpga
-            ]
-        if arena is not None:
-            cpu_tasks: list[Task] = [
-                (_run_cpu_partition_desc,
-                 (arena.descriptor_for(work.cpu_parts[j]), plan.order))
-                for j in pending_cpu
-            ]
-        else:
-            cpu_tasks = [
-                (_run_cpu_partition, (work.cpu_parts[j], plan.order))
-                for j in pending_cpu
-            ]
-
-        def on_done(pos: int, result: object) -> None:
-            if pos < len(fpga_tasks):
+        def on_done(pos: int, result: Any) -> None:
+            if pos < len(pending_fpga):
                 i = pending_fpga[pos]
-                if supervised:
-                    out = result
-                else:
-                    # One clean launch: transfer cost + kernel report.
-                    cost = link.send_to_card(
-                        work.fpga_parts[i].size_bytes()
-                    )
-                    out = PartitionOutcome(
-                        reports=[result],
-                        segments=[(cost, result.seconds)],
-                        pcie_seconds=cost,
-                    )
-                outcomes[i] = out
+                outcomes[i] = result
                 if journal is not None:
-                    for rec in out.ladder_records:
+                    for rec in result.ladder_records:
                         journal.append(rec)
                     journal.append(
-                        outcome_to_record(i, out, collect_results)
+                        outcome_to_record(i, result, collect_results)
                     )
                 check_deadline()
             else:
-                j = pending_cpu[pos - len(fpga_tasks)]
+                j = pending_cpu[pos - len(pending_fpga)]
                 found, counters = result
                 cpu_done[j] = (found, counters)
                 if journal is not None:
@@ -947,41 +793,7 @@ def execute_stage(
                         ),
                     })
 
-        def pickled_fallback(pos: int) -> Task:
-            """Rebuild task ``pos`` with a pickled CST payload.
-
-            Used by the warm pool when a worker reports the task's
-            shared-memory segment lost: the same pure computation,
-            minus the shm plane, so results stay bit-identical.
-            """
-            if pos < len(fpga_tasks):
-                i = pending_fpga[pos]
-                if supervised:
-                    # Process-boundary supervisors never journal
-                    # directly; rung records ride on the outcome.
-                    return (_supervise_partition,
-                            (core, plan, limits, collect_results,
-                             ladder_replay, work.fpga_parts[i], i, None))
-                return (_run_fpga_partition,
-                        (cfg, engine_variant, work.fpga_parts[i],
-                         plan.match_plan, collect_results,
-                         ctx.tracer.enabled))
-            j = pending_cpu[pos - len(fpga_tasks)]
-            return (_run_cpu_partition, (work.cpu_parts[j], plan.order))
-
-        all_tasks = [*fpga_tasks, *cpu_tasks]
-        if warm is not None:
-            # Ask workers to time their tasks only when this run is
-            # tracing; the reply protocol is unchanged otherwise.
-            warm.set_trace(ctx.tracer.enabled)
-        pool.run(
-            all_tasks,
-            on_result=on_done,
-            uses_shm=(
-                [True] * len(all_tasks) if arena is not None else None
-            ),
-            fallback=pickled_fallback if arena is not None else None,
-        )
+        dispatch_facts = dispatch_partitions(ctx, tasks, on_done)
 
         # -- merge in partition-index order ----------------------------
         pcie_seconds = 0.0
@@ -1074,7 +886,7 @@ def execute_stage(
 
         if ctx.tracer.enabled:
             # All modeled lanes are emitted here, after the
-            # index-ordered merge, never from worker threads — the
+            # index-ordered merge, never from pool workers — the
             # modeled half of a trace is deterministic at any
             # ``workers`` (wall lanes are real time and are not).
             tracer = ctx.tracer
@@ -1131,59 +943,8 @@ def execute_stage(
             fallback_seconds=fallback_seconds,
             workers=exec_cfg.workers,
             buffers=exec_cfg.buffers,
-            pool=exec_cfg.pool,
-            executor_pool_effective=exec_cfg.pool,
-            cst_plane=cst_plane,
+            **dispatch_facts,
         )
-        if warm is not None:
-            # Per-stage deltas of the warm pool's cumulative counters
-            # (the pool outlives this stage), plus a wall-clock `pool`
-            # trace lane of every supervision decision. All of this is
-            # strictly wall-domain: modeled seconds and counts above
-            # are already merged and cannot see it.
-            after = warm.stats.to_dict()
-            st.note(
-                pool_warm=True,
-                task_chunk=exec_cfg.task_chunk,
-                **{
-                    f"pool_{key}": after[key] - pool_stats0.get(key, 0)
-                    for key in (
-                        "spawned", "respawns", "redispatches", "hedges",
-                        "quarantines", "shm_fallbacks", "stall_kills",
-                        "recycled", "chunks",
-                    )
-                },
-            )
-            tracer = ctx.tracer
-            events = warm.drain_events()
-            worker_spans = warm.drain_worker_spans()
-            if tracer.enabled and (events or worker_spans):
-                epoch = time.perf_counter() - tracer.now_wall()
-                for ts, kind, detail in events:
-                    tracer.instant(
-                        "pool", kind, max(0.0, ts - epoch),
-                        clock=WALL, **detail,
-                    )
-                    if ctx.log is not None:
-                        ctx.log.info(
-                            f"pool_{kind}",
-                            request_id=tracer.request_id,
-                            **detail,
-                        )
-                # Worker-side spans (task execution, injected stalls,
-                # cold shm attaches) land on one wall lane per worker
-                # slot — perf_counter is CLOCK_MONOTONIC and
-                # system-wide, so the same epoch rebases them. Slot -1
-                # is parent-inline quarantine work.
-                for slot, name, start, seconds, args in worker_spans:
-                    lane = (
-                        "pool/parent" if slot < 0
-                        else f"pool/worker{slot}"
-                    )
-                    tracer.span(
-                        lane, name, max(0.0, start - epoch),
-                        seconds, clock=WALL, **args,
-                    )
         if journal is not None:
             st.note(
                 journaled=True,

@@ -20,11 +20,12 @@ Chrome trace-event JSON (:meth:`Tracer.to_chrome_trace`)
     One lane (tid) per track: stages, per-device pcie/kernel lanes,
     one lane per kernel module, host CPU share, faults, journal.
 
-Prometheus text exposition (:func:`metrics_to_prometheus`)
+Prometheus text exposition (:func:`repro.obs.registry.build_run_registry`)
     The run's metrics payload — embeddings, partitions executed /
     retried / degraded, cache hit/miss/evictions, journal replays,
     per-stage second histograms — in the text format any Prometheus
-    scraper or ``promtool`` ingests.
+    scraper or ``promtool`` ingests. This module keeps the shared text
+    grammar helpers and :func:`validate_prometheus_text`.
 
 Tracing is **off by default** and adds near-zero overhead when
 disabled: every recording method early-returns on ``enabled`` and no
@@ -46,7 +47,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 #: Clock domains. ``wall`` spans carry real host time relative to the
 #: tracer's epoch; ``modeled`` spans carry modeled seconds (the same
@@ -498,89 +499,6 @@ def _labels(pairs: Mapping[str, Any]) -> str:
         f'{k}="{str(v)}"' for k, v in sorted(pairs.items())
     )
     return "{" + inner + "}"
-
-
-class _PromWriter:
-    """Accumulates HELP/TYPE-prefixed metric families in order."""
-
-    def __init__(self, prefix: str) -> None:
-        self.prefix = prefix
-        self.lines: list[str] = []
-
-    def family(
-        self,
-        name: str,
-        mtype: str,
-        help_text: str,
-        samples: Iterable[tuple[Mapping[str, Any], float]],
-        suffix: str = "",
-    ) -> None:
-        samples = list(samples)
-        if not samples:
-            return
-        full = f"{self.prefix}_{name}"
-        self.lines.append(f"# HELP {full} {help_text}")
-        self.lines.append(f"# TYPE {full} {mtype}")
-        for labels, value in samples:
-            self.lines.append(
-                f"{full}{suffix}{_labels(labels)} {_fmt(value)}"
-            )
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str,
-        observations: Mapping[tuple[tuple[str, str], ...], float],
-        buckets: tuple[float, ...] = STAGE_SECONDS_BUCKETS,
-    ) -> None:
-        """One-observation-per-series histogram family.
-
-        ``observations`` maps frozen label pairs to the observed
-        value; each series gets cumulative ``_bucket`` lines plus
-        ``_sum`` / ``_count``.
-        """
-        if not observations:
-            return
-        full = f"{self.prefix}_{name}"
-        self.lines.append(f"# HELP {full} {help_text}")
-        self.lines.append(f"# TYPE {full} histogram")
-        for label_pairs, value in observations.items():
-            labels = dict(label_pairs)
-            for bound in (*buckets, float("inf")):
-                hit = 1 if value <= bound else 0
-                self.lines.append(
-                    f"{full}_bucket"
-                    f"{_labels({**labels, 'le': _fmt(bound)})} {hit}"
-                )
-            self.lines.append(
-                f"{full}_sum{_labels(labels)} {_fmt(value)}"
-            )
-            self.lines.append(f"{full}_count{_labels(labels)} 1")
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-
-def metrics_to_prometheus(
-    payload: Mapping[str, Any],
-    counters: Mapping[str, float] | None = None,
-    prefix: str = "fast",
-) -> str:
-    """Prometheus text exposition of one run's metrics payload.
-
-    ``payload`` is ``RunMetrics.to_payload()``; ``counters`` the
-    tracer's counter map (journal appends/replays and friends), which
-    may be empty — the exposition works with tracing disabled.
-
-    The families themselves are declared in ``repro.obs.registry``;
-    this is a thin wrapper over :func:`~repro.obs.registry.
-    build_run_registry` kept for its call sites and import stability.
-    """
-    # Imported lazily: repro.obs.registry imports this module for the
-    # shared text-grammar helpers.
-    from repro.obs.registry import build_run_registry
-
-    return build_run_registry(payload, counters, prefix=prefix).render()
 
 
 _PROM_METRIC_RE = re.compile(

@@ -59,10 +59,9 @@ from repro.experiments.harness import HarnessConfig, make_context
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.generator import LdbcDataset
 from repro.ldbc.queries import get_query
-from repro.runtime.context import StageCache
-from repro.runtime.faults import HostFaultPlan
+from repro.runtime.context import StageCache, build_worker_pool
 from repro.runtime.journal import DeviceHealthLedger
-from repro.runtime.pool import PoolConfig, WorkerPool
+from repro.runtime.pool import WorkerPool
 from repro.runtime.registry import REGISTRY
 from repro.obs.httpd import ObservabilityHTTPServer
 from repro.obs.logs import JsonLogger
@@ -574,7 +573,7 @@ class MatchServer:
         )
 
     def _shared_arena(self) -> CstArena | None:
-        """The server's long-lived CST arena (process-pool mode only).
+        """The server's long-lived CST arena (``workers > 1`` only).
 
         One arena spans every job and batch, so a resident CST's
         shared-memory descriptors are placed once and reused by every
@@ -582,12 +581,7 @@ class MatchServer:
         and re-created) once :data:`ARENA_RECYCLE_BYTES` accumulate —
         safe between jobs, since the server runs batches serially.
         """
-        harness = self.config.harness
-        if (
-            harness.pool != "process"
-            or harness.workers <= 1
-            or not harness.shm
-        ):
+        if self.config.harness.workers <= 1:
             return None
         if self._arena is not None and not self._arena.closed:
             if self._arena.placed_bytes <= ARENA_RECYCLE_BYTES:
@@ -605,47 +599,21 @@ class MatchServer:
             self._arena = None
         return self._arena
 
-    def _shared_pool(self) -> WorkerPool | None:
+    def _shared_pool(self, ctx) -> WorkerPool | None:
         """The server's long-lived warm worker pool.
 
         Mirrors :meth:`_shared_arena`: one supervised pool spans every
-        job and batch, so ``--pool process`` requests pay the worker
-        fork once per server lifetime instead of once per stage. The
-        pool is injected (not owned) into each job context; crashed or
-        stalled workers are respawned by the pool itself, so a batch
-        that kills a worker never poisons the next one.
+        job and batch, so pooled requests pay the worker fork once per
+        server lifetime instead of once per stage. The pool is injected
+        (not owned) into each job context; crashed or stalled workers
+        are respawned by the pool itself, so a batch that kills a
+        worker never poisons the next one. Built on first use from the
+        job context ``ctx``'s executor config and host-fault plan.
         """
-        harness = self.config.harness
-        if (
-            harness.pool != "process"
-            or harness.workers <= 1
-            or not harness.warm_pool
-        ):
-            return None
-        if self._pool is not None and not self._pool.closed:
-            return self._pool
-        host_faults = None
-        if (
-            harness.host_fault_seed is not None
-            or harness.host_fault_rates is not None
-        ):
-            host_faults = HostFaultPlan(
-                seed=harness.host_fault_seed or 0,
-                rates=(
-                    dict(harness.host_fault_rates)
-                    if harness.host_fault_rates is not None else None
-                ),
+        if self._pool is None or self._pool.closed:
+            self._pool = build_worker_pool(
+                ctx.executor, ctx.host_fault_plan
             )
-        try:
-            self._pool = WorkerPool(PoolConfig(
-                workers=harness.workers,
-                ttl=harness.pool_ttl,
-                chunk=harness.task_chunk,
-                watchdog_s=harness.pool_watchdog_s,
-                host_faults=host_faults,
-            ))
-        except OSError:  # pragma: no cover - fork unavailable
-            self._pool = None
         return self._pool
 
     def _make_context(self, harness_cfg: HarnessConfig):
@@ -658,7 +626,7 @@ class MatchServer:
             # Injected, not owned: the job context must not unlink the
             # server's arena when it closes (RunContext.close()).
             ctx.arena = arena
-        pool = self._shared_pool()
+        pool = self._shared_pool(ctx)
         if pool is not None:
             # Likewise injected: RunContext.ensure_pool() returns this
             # shared pool and close() leaves it running for the next
@@ -952,7 +920,7 @@ class MatchServer:
         scrape are the same render and cannot drift. Validated by
         :func:`repro.runtime.tracing.validate_prometheus_text`; the
         families complement the per-run ones of
-        :func:`~repro.runtime.tracing.metrics_to_prometheus`.
+        :func:`~repro.obs.registry.build_run_registry`.
         """
         with self._metrics_lock:
             self._refresh_registry()

@@ -1,10 +1,10 @@
-"""Overlapped/double-buffered partition executor tests (ISSUE 3).
+"""Overlapped/double-buffered partition executor tests.
 
 Two headline properties:
 
 * ``workers`` is invisible to everything except wall-clock time —
   embedding counts, result sets, modeled seconds, and the health
-  record are bit-identical between serial and concurrent execution
+  record are bit-identical between inline and warm-pool execution
   for every FAST variant and the multi-FPGA runner, with and without
   an active fault plan, across a seed matrix;
 * ``buffers=1`` reproduces the original flat overlap arithmetic
@@ -13,6 +13,8 @@ Two headline properties:
 
 from __future__ import annotations
 
+import io
+import json
 import os
 
 import pytest
@@ -25,13 +27,20 @@ from repro.experiments.harness import HarnessConfig, make_context, tight_config
 from repro.fpga.config import FpgaConfig
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import get_query
+from repro.obs.logs import JsonLogger
 from repro.runtime.context import RunContext
 from repro.runtime.executor import (
     ExecutorConfig,
-    PartitionExecutor,
+    dispatch_partitions,
     overlap_timeline,
 )
-from repro.runtime.faults import FaultPlan, RetryPolicy
+from repro.runtime.faults import (
+    HOST_FAULT_KINDS,
+    FaultPlan,
+    HostFaultPlan,
+    RetryPolicy,
+)
+from repro.runtime.pool import PoolConfig, WorkerPool
 from repro.runtime.registry import REGISTRY
 
 FAST_VARIANTS = (
@@ -58,18 +67,44 @@ def dataset():
     return load_dataset("DG-MICRO")
 
 
-def run_backend(name, dataset, query="q0", *, workers=1, buffers=1,
-                pool="thread", fpga=None, fault_plan=None,
-                retry_policy=None, **kwargs):
-    ctx = RunContext(
-        fpga=fpga or STRESS_FPGA,
-        fault_plan=fault_plan,
-        retry_policy=retry_policy or RetryPolicy(),
-        executor=ExecutorConfig(workers=workers, buffers=buffers,
-                                pool=pool),
-    )
-    q = get_query(query)
-    return REGISTRY.get(name).run(ctx, q.graph, dataset.graph, **kwargs)
+@pytest.fixture(scope="module")
+def worker_pool():
+    """One warm pool for the whole module, injected into every pooled
+    context, so the suite forks its workers once instead of per case."""
+    pool = WorkerPool(PoolConfig(workers=4))
+    yield pool
+    pool.close()
+
+
+@pytest.fixture
+def run_backend(worker_pool):
+    def run(name, dataset, query="q0", *, workers=1, buffers=1,
+            fpga=None, fault_plan=None, retry_policy=None, **kwargs):
+        ctx = RunContext(
+            fpga=fpga or STRESS_FPGA,
+            fault_plan=fault_plan,
+            retry_policy=retry_policy or RetryPolicy(),
+            executor=ExecutorConfig(workers=workers, buffers=buffers),
+        )
+        if workers > 1:
+            ctx.worker_pool = worker_pool  # injected: close() spares it
+        q = get_query(query)
+        try:
+            return REGISTRY.get(name).run(
+                ctx, q.graph, dataset.graph, **kwargs
+            )
+        finally:
+            ctx.close()
+
+    return run
+
+
+def square(i):
+    return i * i
+
+
+def boom(i):
+    raise ValueError(f"task {i}")
 
 
 # ----------------------------------------------------------------------
@@ -125,31 +160,73 @@ class TestOverlapTimeline:
 
 
 # ----------------------------------------------------------------------
-# ExecutorConfig / PartitionExecutor mechanics
+# ExecutorConfig / dispatch_partitions mechanics
 # ----------------------------------------------------------------------
 
 
 class TestExecutorMechanics:
     @pytest.mark.parametrize("bad", [
-        {"workers": 0}, {"buffers": 0}, {"pool": "fibers"},
+        {"workers": 0}, {"buffers": 0}, {"watchdog_s": -1.0},
     ])
     def test_config_validates(self, bad):
         with pytest.raises(DeviceError):
             ExecutorConfig(**bad)
 
+    def test_harness_names_only_the_process_pool(self):
+        assert HarnessConfig(pool="process").pool == "process"
+        with pytest.raises(DeviceError):
+            HarnessConfig(pool="thread")
+
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_results_come_back_in_task_order(self, workers):
-        ex = PartitionExecutor(ExecutorConfig(workers=workers))
-        out = ex.map(lambda i: i * i, [(i,) for i in range(50)])
-        assert out == [i * i for i in range(50)]
+    def test_results_come_back_in_task_order(self, workers,
+                                             worker_pool):
+        ctx = RunContext(executor=ExecutorConfig(workers=workers))
+        ctx.worker_pool = worker_pool
+        seen = {}
+        facts = dispatch_partitions(
+            ctx, [(square, (i,)) for i in range(50)], seen.__setitem__,
+        )
+        ctx.close()
+        assert [seen[i] for i in range(50)] == [i * i for i in range(50)]
+        assert facts["pool"] == ("inline" if workers == 1 else "process")
 
-    def test_worker_exceptions_propagate(self):
-        def boom(i):
-            raise ValueError(f"task {i}")
-
-        ex = PartitionExecutor(ExecutorConfig(workers=4))
+    def test_worker_exceptions_propagate(self, worker_pool):
+        ctx = RunContext(executor=ExecutorConfig(workers=4))
+        ctx.worker_pool = worker_pool
         with pytest.raises(ValueError, match="task"):
-            ex.map(boom, [(i,) for i in range(8)])
+            dispatch_partitions(
+                ctx, [(boom, (i,)) for i in range(8)],
+                lambda i, value: None,
+            )
+        ctx.close()
+
+    def test_pool_events_logged_without_tracing(self):
+        """Supervision events reach the JSONL log whether or not the
+        run is traced."""
+        stream = io.StringIO()
+        ctx = RunContext(
+            executor=ExecutorConfig(workers=2), log=JsonLogger(stream),
+        )
+        plan = HostFaultPlan(
+            rates={kind: 0.0 for kind in HOST_FAULT_KINDS},
+            targets={"worker_kill": {1: 1}},
+        )
+        pool = WorkerPool(PoolConfig(workers=2, host_faults=plan))
+        ctx.worker_pool = pool
+        try:
+            dispatch_partitions(
+                ctx, [(square, (i,)) for i in range(4)],
+                lambda i, value: None,
+            )
+        finally:
+            ctx.close()
+            pool.close()
+        assert not ctx.tracer.enabled
+        events = {
+            json.loads(line)["event"]
+            for line in stream.getvalue().splitlines()
+        }
+        assert {"pool_respawn", "pool_redispatch"} <= events
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +237,7 @@ class TestExecutorMechanics:
 class TestWorkerDeterminism:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_fault_free_counts_and_seconds_identical(self, backend,
-                                                     dataset):
+                                                     dataset, run_backend):
         serial = run_backend(backend, dataset)
         pooled = run_backend(backend, dataset, workers=4)
         assert pooled.embeddings == serial.embeddings
@@ -169,7 +246,7 @@ class TestWorkerDeterminism:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_faulty_runs_identical_incl_health(self, backend, seed,
-                                               dataset):
+                                               dataset, run_backend):
         kwargs = dict(fault_plan=FaultPlan(seed=seed))
         serial = run_backend(backend, dataset, "q2", **kwargs)
         pooled = run_backend(backend, dataset, "q2", workers=4, **kwargs)
@@ -178,7 +255,8 @@ class TestWorkerDeterminism:
         assert pooled.health == serial.health
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_hot_ladder_identical_under_pool(self, seed, dataset):
+    def test_hot_ladder_identical_under_pool(self, seed, dataset,
+                                             run_backend):
         """Re-partition and CPU-fallback rungs engage; event order and
         counts still match serial exactly."""
         kwargs = dict(
@@ -195,39 +273,32 @@ class TestWorkerDeterminism:
         assert pooled.seconds == serial.seconds
         assert pooled.health == serial.health
 
-    def test_collected_results_identical(self, dataset):
+    def test_collected_results_identical(self, dataset, run_backend):
         serial = run_backend("fast-share", dataset,
                              collect_results=True)
         pooled = run_backend("fast-share", dataset, workers=4,
                              collect_results=True)
         assert pooled.raw.results == serial.raw.results
 
-    def test_process_pool_matches_thread_pool(self, dataset):
-        threaded = run_backend("fast-sep", dataset, workers=2)
-        forked = run_backend("fast-sep", dataset, workers=2,
-                             pool="process")
-        assert forked.embeddings == threaded.embeddings
-        assert forked.seconds == threaded.seconds
-
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_supervised_process_pool_runs_natively(self, seed, dataset):
-        """A fault plan no longer downgrades ``--pool process``: the
-        supervised ladder runs inside worker processes over the
+    def test_supervised_process_pool_runs_natively(self, seed, dataset,
+                                                   run_backend):
+        """The supervised ladder runs inside worker processes over the
         shared-memory CST plane and matches serial bit-identically,
         health record included."""
         kwargs = dict(fault_plan=FaultPlan(seed=seed))
         serial = run_backend("fast-share", dataset, "q2", **kwargs)
         forked = run_backend("fast-share", dataset, "q2", workers=2,
-                             pool="process", **kwargs)
+                             **kwargs)
         assert forked.embeddings == serial.embeddings
         assert forked.seconds == serial.seconds
         assert forked.health == serial.health
+        assert serial.metrics["stages"]["execute"]["pool"] == "inline"
         execute = forked.metrics["stages"]["execute"]
         assert execute["pool"] == "process"
-        assert execute["executor_pool_effective"] == "process"
         assert execute["cst_plane"] == "shm"
 
-    def test_cpu_share_partitions_go_through_the_pool(self):
+    def test_cpu_share_partitions_go_through_the_pool(self, worker_pool):
         """A high delta routes a real CPU share; modeled seconds stay
         identical under the pool."""
         data = load_dataset("DG-MINI")
@@ -239,9 +310,11 @@ class TestWorkerDeterminism:
         )
         pooled_cfg = tight_config(HarnessConfig(delta=0.4, workers=4))
         pooled_ctx = make_context(pooled_cfg)
+        pooled_ctx.worker_pool = worker_pool
         pooled = REGISTRY.get("fast-share").run(
             pooled_ctx, q.graph, data.graph
         )
+        pooled_ctx.close()
         cpu_csts = serial.metrics["stages"]["schedule"]["cpu_csts"]
         assert cpu_csts > 0
         assert pooled.embeddings == serial.embeddings
@@ -255,8 +328,9 @@ class TestWorkerDeterminism:
 
 class TestModeledOverlap:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_single_buffer_matches_legacy_model(self, backend, dataset):
-        """workers and pool choice never perturb the buffers=1 model."""
+    def test_single_buffer_matches_legacy_model(self, backend, dataset,
+                                                run_backend):
+        """workers never perturb the buffers=1 model."""
         legacy = run_backend(backend, dataset)
         pooled = run_backend(backend, dataset, workers=4, buffers=1)
         assert pooled.seconds == legacy.seconds
@@ -278,7 +352,8 @@ class TestModeledOverlap:
         assert overlapped.embeddings == serial.embeddings
         assert overlapped.seconds <= serial.seconds
 
-    def test_more_buffers_monotone_on_real_run(self, dataset):
+    def test_more_buffers_monotone_on_real_run(self, dataset,
+                                               run_backend):
         times = []
         for buffers in (1, 2, 4):
             out = run_backend("fast-share", dataset, "q1",
@@ -287,7 +362,8 @@ class TestModeledOverlap:
         assert times[1] <= times[0]
         assert times[2] <= times[1]
 
-    def test_fpga_seconds_reported_in_stage_metrics(self, dataset):
+    def test_fpga_seconds_reported_in_stage_metrics(self, dataset,
+                                                    run_backend):
         out = run_backend("fast-share", dataset, buffers=2, workers=2)
         execute = out.metrics["stages"]["execute"]
         assert execute["buffers"] == 2
@@ -295,7 +371,8 @@ class TestModeledOverlap:
         assert execute["fpga_seconds"] > 0.0
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_overlap_composes_with_faults(self, seed, dataset):
+    def test_overlap_composes_with_faults(self, seed, dataset,
+                                          run_backend):
         """Double-buffering under a fault plan: counts stay exact and
         the overlapped model never exceeds the flat one."""
         kwargs = dict(fault_plan=FaultPlan(seed=seed))

@@ -254,14 +254,16 @@ class TestRunJournal:
 
 def strip_wall(metrics_dict):
     """Metrics payload minus wall-clock times (machine-dependent) and
-    journal bookkeeping (differs between fresh and resumed by design)."""
+    journal bookkeeping (differs between fresh and resumed by design,
+    as does the pool's chunk count: a resume dispatches fewer tasks)."""
 
     def clean(obj):
         if isinstance(obj, dict):
             return {
                 k: clean(v) for k, v in obj.items()
                 if k not in ("wall_seconds", "journaled", "journal_path",
-                             "resumed_partitions", "resumed_devices")
+                             "resumed_partitions", "resumed_devices",
+                             "pool_chunks")
             }
         return obj
 

@@ -6,9 +6,11 @@ import pytest
 
 from repro.baselines.reference import count_reference_embeddings
 from repro.common.errors import DeviceError
+from repro.experiments.harness import HarnessConfig, make_context
 from repro.fpga.config import FpgaConfig
 from repro.host.multi_fpga import MultiFpgaRunner
 from repro.ldbc.queries import all_queries, get_query
+from repro.runtime.faults import FaultPlan
 
 
 @pytest.fixture()
@@ -83,6 +85,26 @@ class TestMultiFpga:
             q.graph, micro_graph
         )
         assert result.load_imbalance >= 1.0
+
+    def test_one_live_device_forks_no_pool(self, micro_graph,
+                                           small_device):
+        """One device queue left to run is one task: it runs inline,
+        and no pool workers are forked for it."""
+        ctx = make_context(HarnessConfig(
+            fpga=small_device, workers=4, pool="process",
+        ))
+        ctx.fault_plan = FaultPlan(rates={}, dead_devices={1})
+        try:
+            result = MultiFpgaRunner(num_devices=2, context=ctx).run(
+                get_query("q6").graph, micro_graph
+            )
+            assert result.degraded
+            assert ctx.worker_pool is None
+            assert result.metrics.stages["execute"].extra["pool"] == (
+                "inline"
+            )
+        finally:
+            ctx.close()
 
     def test_invalid_device_count(self):
         with pytest.raises(DeviceError):

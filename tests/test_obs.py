@@ -195,12 +195,9 @@ class TestBuildRunRegistry:
         "cache": {"cst": {"hits": 1, "misses": 2}},
     }
 
-    def test_matches_legacy_emitter(self):
-        from repro.runtime.tracing import metrics_to_prometheus
-
+    def test_exposition_lines(self):
         counters = {"journal_appends": 3}
         text = build_run_registry(self.PAYLOAD, counters).render()
-        assert text == metrics_to_prometheus(self.PAYLOAD, counters)
         assert validate_prometheus_text(text) == []
         assert 'fast_run_info{backend="fast-share"} 1' in text
         assert 'fast_pool_chunks_total{backend="fast-share"} 9' in text
@@ -567,6 +564,44 @@ class TestWorkerSpanMerge:
                 assert ev["cat"] == WALL
                 assert "task" in ev["args"]
                 assert "attempt" in ev["args"]
+
+    def test_pool_spans_filed_under_dispatching_request(self):
+        """Every pool lane entry belongs to the job that dispatched it:
+        a multi-FPGA job's device-queue spans must not spill into the
+        next job that shares the server's warm pool."""
+        server = MatchServer(ServeConfig(
+            capacity_s=100.0, trace=True,
+            harness=tight_config(HarnessConfig(
+                use_cache=False, workers=2, pool="process",
+            )),
+        ))
+        try:
+            server.run([
+                request_line("fast1", "DG-MINI", "q1"),
+                request_line("multi", "DG-MINI", "q1",
+                             backend="multi-fpga"),
+                request_line("fast2", "DG-MINI", "q1"),
+            ], io.StringIO())
+        finally:
+            server.close()
+        jobs = {"fast1", "multi", "fast2"}
+        tasks: dict[str, list[int]] = {}
+        for span in server.tracer.spans:
+            if not span.track.startswith("pool/"):
+                continue
+            request = (span.args or {}).get("request_id")
+            assert request in jobs, span
+            if span.name == "pool-task":
+                tasks.setdefault(request, []).append(span.args["task"])
+        for instant in server.tracer.instants:
+            if instant.track == "pool":
+                assert (instant.args or {}).get("request_id") in jobs
+        # Each job's pool-task spans cover its own tasks exactly once;
+        # the multi-FPGA job dispatched one task per device queue.
+        assert set(tasks) == jobs
+        for request, ids in tasks.items():
+            assert sorted(ids) == list(range(len(ids))), request
+        assert len(tasks["multi"]) == 2
 
     def test_request_id_stamping(self):
         tracer = Tracer(enabled=True)

@@ -25,12 +25,11 @@ from repro.common.errors import (
     WorkerCrashError,
     WorkerShmLost,
 )
-from repro.runtime.executor import ExecutorConfig, PartitionExecutor
 from repro.runtime.faults import (
     HOST_FAULT_KINDS,
     HostFaultPlan,
 )
-from repro.runtime.pool import PoolConfig, WorkerPool
+from repro.runtime.pool import PoolConfig, WorkerPool, chunk_size
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,18 +53,6 @@ def boom(x):
     raise ValueError(f"boom {x}")
 
 
-def kill_if_worker(x, main_pid):
-    if os.getpid() != main_pid:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return x * 3
-
-
-def kill_if_worker_and_odd(x, main_pid):
-    if os.getpid() != main_pid and x % 2 == 1:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return x * 3
-
-
 def missing_segment(x):
     raise FileNotFoundError(f"/dev/shm/psm_gone_{x}")
 
@@ -84,7 +71,7 @@ class TestPoolConfig:
     @pytest.mark.parametrize("kwargs", [
         {"workers": 0},
         {"ttl": -1},
-        {"chunk": 0},
+        {"heartbeat_s": -1.0},
         {"watchdog_s": -1.0},
         {"max_crashes": 0},
         {"heartbeat_s": 0.0},
@@ -130,17 +117,28 @@ class TestWorkerPoolBasics:
             pool.close()
 
     def test_chunking_matches_unchunked_results(self):
-        tasks = [(double, (i,)) for i in range(13)]
-        plain = make_pool(chunk=1)
-        chunked = make_pool(chunk=5)
+        pool = make_pool(workers=1)
         try:
-            assert plain.run(tasks) == chunked.run(tasks)
-            # 13 tasks at chunk=5 dispatch as ceil(13/5)=3 chunks.
-            assert chunked.stats.chunks == 3
-            assert plain.stats.chunks == 13
+            assert pool.run([(double, (i,)) for i in range(13)]) == [
+                2 * i for i in range(13)
+            ]
+            assert pool.stats.chunks == 13  # short stream: per task
+            assert pool.run([(double, (i,)) for i in range(200)]) == [
+                2 * i for i in range(200)
+            ]
+            # 200 tasks on one worker: 6 per chunk, ceil(200/6) = 34.
+            assert pool.stats.chunks == 13 + 34
         finally:
-            plain.close()
-            chunked.close()
+            pool.close()
+
+    @pytest.mark.parametrize("num_tasks,workers,size", [
+        (1574, 4, 12),  # the shatter tail of a 4 KB device
+        (91, 2, 1),     # the largest serve request
+        (7, 2, 1),      # the smallest pooled serve request
+        (0, 4, 1),
+    ])
+    def test_chunk_size_rule(self, num_tasks, workers, size):
+        assert chunk_size(num_tasks, workers) == size
 
     def test_warm_reuse_across_runs(self):
         pool = make_pool(workers=2)
@@ -401,42 +399,12 @@ class TestSupervision:
             pool.close()
 
 
-class TestLegacyBrokenPool:
-    """Satellite 1: the cold ``ProcessPoolExecutor`` path survives a
-    broken pool with one inline serial re-run."""
-
-    def cold_executor(self):
-        return PartitionExecutor(
-            ExecutorConfig(pool="process", workers=2)
-        )
-
-    def test_broken_pool_reruns_lost_tasks_inline(self):
-        seen = []
-        results = self.cold_executor().run(
-            [(kill_if_worker, (i, os.getpid())) for i in range(4)],
-            on_result=lambda i, v: seen.append(i),
-        )
-        assert results == [0, 3, 6, 9]
-        assert sorted(seen) == [0, 1, 2, 3]  # delivered exactly once
-
-    def test_partial_completion_is_salvaged(self):
-        results = self.cold_executor().run(
-            [(kill_if_worker_and_odd, (i, os.getpid()))
-             for i in range(6)],
-        )
-        assert results == [3 * i for i in range(6)]
-
-    def test_task_exception_is_not_mistaken_for_a_crash(self):
-        with pytest.raises(ValueError, match="boom 1"):
-            self.cold_executor().run([(double, (0,)), (boom, (1,))])
-
-
 ORPHAN_SCRIPT = textwrap.dedent("""
     import os
     import sys
     import time
 
-    from repro.runtime.pool import PoolConfig, WorkerPool
+    from repro.runtime.pool import PoolConfig, WorkerPool, chunk_size
 
     def park(x):
         return x

@@ -34,6 +34,7 @@ from repro.experiments.harness import (
 )
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import get_query
+from repro.runtime.pool import PoolConfig, WorkerPool
 from repro.runtime.registry import REGISTRY
 from repro.serve import MatchServer, ServeConfig
 
@@ -109,23 +110,31 @@ class TestSeededHostFaults:
         assert_no_new_segments(before)
 
     def test_chunked_ttl_run_is_identical_too(self):
-        # Chunked dispatch, worker recycling, and host faults at once:
-        # none of it may leak into the modeled world.
+        # Chunked dispatch (two partitions per chunk at two workers),
+        # worker recycling, and host faults at once: none of it may
+        # leak into the modeled world.
         baseline = run_once("fast-share")
-        chaotic = run_once(
-            "fast-share",
-            **chaos_kwargs(7, task_chunk=4, pool_ttl=3),
-        )
-        assert chaotic == baseline
-
-    def test_cold_pool_fallback_is_identical_too(self):
-        # --cold-pool keeps the legacy per-stage executor; results
-        # must match the warm pool and the serial baseline.
-        baseline = run_once("fast-share")
-        cold = run_once(
-            "fast-share", pool="process", workers=3, warm_pool=False,
-        )
-        assert cold == baseline
+        ctx = make_context(tight_config(HarnessConfig(
+            use_cache=False, **chaos_kwargs(7, workers=2),
+        )))
+        pool = WorkerPool(PoolConfig(
+            workers=2, ttl=3, watchdog_s=0.3,
+            host_faults=ctx.host_fault_plan,
+        ))
+        ctx.worker_pool = pool
+        try:
+            out = REGISTRY.get("fast-share").run(
+                ctx, get_query("q1").graph, load_dataset("DG-MINI").graph
+            )
+        finally:
+            ctx.close()
+            pool.close()
+        assert payload(out) == baseline
+        schedule = out.metrics["stages"]["schedule"]
+        execute = out.metrics["stages"]["execute"]
+        tasks = schedule["fpga_csts"] + schedule["cpu_csts"]
+        assert execute["pool_chunks"] < tasks
+        assert execute["pool_recycled"] > 0
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", [3, 5, 11, 13, 29])
@@ -185,11 +194,10 @@ CHILD_SCRIPT = textwrap.dedent("""
     from repro.ldbc.queries import get_query
     from repro.runtime.registry import REGISTRY
 
-    backend, journal, mode, host_seed, workers, pool = sys.argv[1:7]
+    backend, journal, mode, host_seed, workers = sys.argv[1:6]
     config = tight_config(HarnessConfig(
         use_cache=False,
         workers=int(workers),
-        pool=pool,
         pool_watchdog_s=0.3,
         host_fault_seed=None if host_seed == "-" else int(host_seed),
         journal_path=journal if mode == "record" else None,
@@ -209,7 +217,7 @@ CHILD_SCRIPT = textwrap.dedent("""
 
 
 def run_child(backend, journal, mode, *, host_seed=None, workers=1,
-              pool="thread", crash_after=None):
+              crash_after=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("REPRO_JOURNAL_CRASH_AFTER", None)
@@ -218,7 +226,7 @@ def run_child(backend, journal, mode, *, host_seed=None, workers=1,
     return subprocess.run(
         [sys.executable, "-c", CHILD_SCRIPT, backend, str(journal),
          mode, "-" if host_seed is None else str(host_seed),
-         str(workers), pool],
+         str(workers)],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT,
         timeout=300,
     )
@@ -236,7 +244,7 @@ class TestKillResumeUnderChaos:
 
         killed = run_child(
             "fast-sep", journal, "record",
-            host_seed=7, workers=3, pool="process", crash_after=5,
+            host_seed=7, workers=3, crash_after=5,
         )
         assert killed.returncode == -signal.SIGKILL, (
             f"expected SIGKILL, got rc={killed.returncode}: "
@@ -248,7 +256,7 @@ class TestKillResumeUnderChaos:
 
         resumed = run_child(
             "fast-sep", journal, "resume",
-            host_seed=7, workers=3, pool="process",
+            host_seed=7, workers=3,
         )
         assert resumed.returncode == 0, resumed.stderr[-800:]
         assert resumed.stdout == baseline.stdout

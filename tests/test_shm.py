@@ -336,7 +336,7 @@ class TestArenaLifecycle:
         budget = pre_execute + (baseline.seconds - pre_execute) * 0.5
         ctx = RunContext(
             fpga=STRESS_FPGA,
-            executor=ExecutorConfig(workers=4, pool="process"),
+            executor=ExecutorConfig(workers=4),
             cancellation=CancellationToken(budget_s=budget),
         )
         with pytest.raises(DeadlineExceededError):

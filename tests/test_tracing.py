@@ -28,6 +28,7 @@ from repro.experiments.harness import HarnessConfig, make_context
 from repro.fpga.config import FpgaConfig
 from repro.fpga.engine import VARIANTS, FastEngine
 from repro.fpga.report import KernelReport
+from repro.obs import build_run_registry
 from repro.runtime.executor import overlap_schedule, overlap_timeline
 from repro.runtime.registry import REGISTRY
 from repro.runtime.tracing import (
@@ -36,7 +37,6 @@ from repro.runtime.tracing import (
     WALL,
     Tracer,
     check_trace_invariants,
-    metrics_to_prometheus,
     summarize_trace,
     trace_lanes,
     validate_chrome_trace,
@@ -439,9 +439,9 @@ class TestPrometheus:
         out, ctx = traced_run(
             "fast-sep", queries[0].graph, micro_graph, **kwargs
         )
-        return out, metrics_to_prometheus(
+        return out, build_run_registry(
             ctx.current_metrics.to_payload(), ctx.tracer.counters
-        )
+        ).render()
 
     def test_exposition_parses(self, micro_graph, queries):
         _, text = self._exposition(micro_graph, queries)
@@ -472,9 +472,9 @@ class TestPrometheus:
             "fast-sep", queries[0].graph, micro_graph,
             fault_seed=11, fpga=TIGHT_FPGA,
         )
-        text = metrics_to_prometheus(
+        text = build_run_registry(
             ctx.current_metrics.to_payload(), ctx.tracer.counters
-        )
+        ).render()
         assert validate_prometheus_text(text) == []
         assert "fast_recovery_actions_total" in text
         assert "fast_backoff_seconds_total" in text
@@ -485,7 +485,9 @@ class TestPrometheus:
         _, ctx = traced_run(
             "fast-sep", queries[0].graph, micro_graph, trace=False,
         )
-        text = metrics_to_prometheus(ctx.current_metrics.to_payload())
+        text = build_run_registry(
+            ctx.current_metrics.to_payload()
+        ).render()
         assert validate_prometheus_text(text) == []
         assert "fast_embeddings_found_total" in text
 
