@@ -9,8 +9,9 @@ simulated device, reusing the staged pipeline's ``plan`` and
 ``build_cst`` stages (so a shared :class:`RunContext` lets multi-FPGA
 sweeps reuse cached CSTs):
 
-* partitions come out of Algorithm 2 as usual (memoized per
-  configuration in the context's stage cache);
+* partitions come out of the shared ``partition`` stage at
+  ``delta = 0`` (memoized per configuration in the context's stage
+  cache), together with each one's Algorithm 3 workload estimate;
 * each is assigned to the device with the least accumulated estimated
   workload (greedy min-load, the online analogue of LPT);
 * each device runs its own :class:`~repro.fpga.engine.FastEngine` and
@@ -37,7 +38,6 @@ from repro.common.errors import DeviceError, FatalDeviceError
 from repro.costs.cpu import CpuCostModel
 from repro.cst.partition import PartitionLimits
 from repro.cst.structure import CST, ENTRY_BYTES, CstDescriptor
-from repro.cst.workload import estimate_workload
 from repro.fpga.catalog import DeviceSpec, parse_fleet
 from repro.fpga.config import FpgaConfig
 from repro.fpga.engine import FastEngine
@@ -62,7 +62,7 @@ from repro.runtime.journal import (
 )
 from repro.runtime.stages import (
     build_cst_stage,
-    cached_partition_list,
+    partition_stage,
     plan_stage,
 )
 from repro.runtime.tracing import (
@@ -283,20 +283,11 @@ class MultiFpgaRunner:
                 range(self.num_devices), key=ledger.delta_s_scale
             )
             limits = _ledger_scaled_limits(ctx, limits, worst)
-        with ctx.stage("partition") as st:
-            parts, stats, cached = cached_partition_list(
-                ctx, data, cst, plan, limits, k_policy=self.k_policy,
-                split_policy=ctx.split_policy,
-            )
-            partition_seconds = ctx.host_seconds(
-                stats.total_bytes // ENTRY_BYTES, data
-            )
-            st.modeled_seconds += partition_seconds
-            st.note(
-                num_partitions=stats.num_partitions,
-                num_splits=stats.num_splits,
-                cached=cached,
-            )
+        work = partition_stage(
+            ctx, data, cst, plan, limits,
+            k_policy=self.k_policy, split_policy=ctx.split_policy,
+        )
+        stats = work.stats
 
         devices = [
             DeviceLoad(index=i, part=self._device_part(i))
@@ -327,9 +318,9 @@ class MultiFpgaRunner:
                 d.index,
             )
 
-        def assign(pool: list[DeviceLoad], part: CST) -> DeviceLoad:
-            workload = estimate_workload(part)
-            part_bytes = part.size_bytes()
+        def assign(pool: list[DeviceLoad], i: int) -> DeviceLoad:
+            workload = work.fpga_workloads[i]
+            part_bytes = work.fpga_parts[i].size_bytes()
             target = min(
                 pool, key=lambda d: placement_key(d, workload, part_bytes)
             )
@@ -340,10 +331,10 @@ class MultiFpgaRunner:
             return target
 
         with ctx.stage("schedule") as st:
-            assignment: list[list] = [[] for _ in devices]
-            for part in parts:
-                target = assign(devices, part)
-                assignment[target.index].append(part)
+            # Queues of partition indices, one per device.
+            assignment: list[list[int]] = [[] for _ in devices]
+            for i in range(len(work.fpga_parts)):
+                assignment[assign(devices, i).index].append(i)
             st.note(
                 num_devices=self.num_devices,
                 csts_per_device=tuple(d.num_csts for d in devices),
@@ -398,9 +389,9 @@ class MultiFpgaRunner:
                         DEVICE_DEAD if device.index in dead
                         else "breaker_open"
                     )
-                    for part in assignment[device.index]:
-                        target = assign(survivors, part)
-                        assignment[target.index].append(part)
+                    for i in assignment[device.index]:
+                        target = assign(survivors, i)
+                        assignment[target.index].append(i)
                         health.record(FaultEvent(
                             kind=kind,
                             scope=("device", device.index),
@@ -463,7 +454,8 @@ class MultiFpgaRunner:
             tasks: list[Task] = [
                 (_run_device,
                  (configs[d.index], self.variant,
-                  tuple(assignment[d.index]), plan.match_plan,
+                  tuple(work.fpga_parts[i] for i in assignment[d.index]),
+                  plan.match_plan,
                   q.num_vertices, ctx.tracer.enabled))
                 for d in pending
             ]
@@ -566,7 +558,7 @@ class MultiFpgaRunner:
             embeddings=embeddings,
             total_seconds=total_seconds,
             build_seconds=metrics.stages["build_cst"].modeled_seconds,
-            partition_seconds=partition_seconds,
+            partition_seconds=metrics.stages["partition"].modeled_seconds,
             makespan_seconds=makespan,
             devices=devices,
             num_partitions=stats.num_partitions,

@@ -11,9 +11,10 @@ schedule -> execute -> merge`` — through a shared
 2. **build_cst**: Algorithm 1 on the host (Section V-A), memoized in
    the context's stage cache;
 3. **partition**: Algorithm 2 down to the device's BRAM/port limits
-   (Section V-B); under the ``share`` variant the partitioner may hand
-   whole oversized CSTs to the CPU (Section VII-B);
-4. **schedule**: Algorithm 3's delta-threshold CPU/FPGA routing;
+   (Section V-B), with Algorithm 3's delta-threshold CPU/FPGA routing
+   of each emitted partition; under the ``share`` variant the
+   partitioner may hand whole oversized CSTs to the CPU (Section VII-B);
+4. **schedule**: record the CPU/FPGA split the routing arrived at;
 5. **execute**: the FAST kernel on every FPGA partition (over the
    modeled PCIe link) and the basic backtracking matcher on every CPU
    partition;
@@ -198,7 +199,6 @@ class FastRunner:
                 k_policy=self.k_policy,
                 split_policy=self.split_policy,
                 delta=self.delta if self.variant == "share" else 0.0,
-                absorb_oversized=self.variant == "share",
             )
         schedule_stage(ctx, work)
 
@@ -224,7 +224,7 @@ class FastRunner:
             cpu_share_seconds=executed.cpu_share_seconds,
             num_partitions=work.num_partitions,
             num_cpu_csts=len(work.cpu_parts),
-            cpu_workload_fraction=work.scheduler.cpu_fraction,
+            cpu_workload_fraction=work.cpu_fraction,
             kernel_report=executed.kernel,
             order=plan.order,
             results=merged.results,

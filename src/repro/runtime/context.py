@@ -197,11 +197,11 @@ class StageCache:
     """Memoization of expensive stage outputs across runs.
 
     Two namespaces are in use: ``"cst"`` (Algorithm 1 output, keyed by
-    the data and query graphs) and ``"partition"`` (Algorithm 2 output,
-    keyed additionally by the matching order, the delta_S / delta_D
-    limits, and the split policies). Keys rely on
-    :class:`~repro.graph.graph.Graph` equality, which compares CSR
-    content, so two structurally identical graphs share entries.
+    the data and query graphs) and ``"partition"`` (Algorithm 2 output
+    routed by Algorithm 3, keyed additionally by the matching order,
+    the delta_S / delta_D limits, the split policies, and delta). Keys
+    rely on :class:`~repro.graph.graph.Graph` equality, which compares
+    CSR content, so two structurally identical graphs share entries.
 
     The store is bounded: at most ``max_entries`` values live at once,
     evicted least-recently-used (a hit refreshes recency), so long
@@ -223,10 +223,9 @@ class StageCache:
         self._store: dict[tuple, Any] = {}
         self._pinned: set[tuple] = set()
         self._stats: dict[str, CacheStats] = {}
-        # Concurrent partition tasks may rebuild partitions through the
-        # cache (the fault supervisor's re-partition rung); the lock
-        # keeps check-then-insert and eviction atomic under the
-        # execute stage's worker pool. Builds are rare and serialize.
+        # The serving thread inserts and evicts while the /metrics
+        # scrape thread reads stats(); the lock keeps check-then-insert,
+        # eviction and the stats snapshot atomic. Builds serialize.
         self._lock = threading.RLock()
 
     def namespace_stats(self, namespace: str) -> CacheStats:
@@ -286,7 +285,8 @@ class StageCache:
 
     def stats(self) -> dict[str, dict[str, float]]:
         """Cumulative hit/miss counters per namespace."""
-        return {n: s.to_dict() for n, s in sorted(self._stats.items())}
+        with self._lock:
+            return {n: s.to_dict() for n, s in sorted(self._stats.items())}
 
 
 @dataclass

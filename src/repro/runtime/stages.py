@@ -10,14 +10,12 @@ and annotated through the shared :class:`~repro.runtime.context.RunContext`:
     Algorithm 1 over the data graph. Memoized per ``(data, query)``
     in the context's :class:`~repro.runtime.context.StageCache`.
 ``partition``
-    Algorithm 2 down to the device's ``delta_S`` / ``delta_D`` limits.
-    The pure (non-intercepting) form is memoized per
-    ``(data, query, order, delta_S, delta_D, policies)``; the
-    FAST-SHARE form is fused with scheduling (the intercept consults
-    the scheduler mid-stream) and bypasses the cache.
+    Algorithm 2 down to the device's ``delta_S`` / ``delta_D`` limits,
+    each emitted partition routed to the CPU or the FPGA by Algorithm 3
+    under the workload threshold ``delta``. Memoized per ``(data,
+    query, order, delta_S, delta_D, policies, delta)``.
 ``schedule``
-    Algorithm 3: route each partition to the CPU or the FPGA under the
-    workload threshold ``delta``.
+    Record the CPU/FPGA split Algorithm 3 arrived at.
 ``execute``
     FAST kernel over the FPGA partitions (over the modeled PCIe link)
     plus the basic backtracking matcher over the CPU partitions.
@@ -94,15 +92,22 @@ class StagePlan:
     match_plan: MatchPlan
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScheduledWork:
-    """Output of the ``partition`` + ``schedule`` stages."""
+    """Output of the ``partition`` + ``schedule`` stages.
 
-    fpga_parts: list[CST]
-    cpu_parts: list[CST]
+    Immutable: one value is served from the stage cache to every run
+    with the same key, so no run may change what the next one sees.
+    """
+
+    fpga_parts: tuple[CST, ...]
+    cpu_parts: tuple[CST, ...]
     stats: PartitionStats | None
-    scheduler: WorkloadScheduler
-    cached: bool = False
+    #: Algorithm 3's workload estimate of each FPGA partition, in order.
+    fpga_workloads: tuple[float, ...]
+    delta: float = 0.0
+    #: Achieved CPU share of the total estimated workload.
+    cpu_fraction: float = 0.0
 
     @property
     def num_partitions(self) -> int:
@@ -147,41 +152,6 @@ class MergedRun:
 
 
 # ----------------------------------------------------------------------
-
-
-def cached_partition_list(
-    ctx: RunContext,
-    data: Graph,
-    cst: CST,
-    plan: StagePlan,
-    limits: PartitionLimits,
-    k_policy: int | str = "greedy",
-    split_policy: str = "order",
-    extra_key: tuple = (),
-) -> tuple[list[CST], PartitionStats, bool]:
-    """Pure Algorithm 2, memoized per ``(graph, query, order, delta_S,
-    delta_D, policies)``; returns ``(parts, stats, was_cached)``.
-
-    The default key assumes ``cst`` is the full Algorithm 1 output for
-    ``(data, query)``. Callers partitioning a *sub*-CST (the fault
-    supervisor re-splitting one failed partition) must pass a
-    distinguishing ``extra_key``, since the sub-CST is not a function
-    of the base key alone.
-    """
-    key = (
-        data, plan.query.graph, plan.order,
-        limits.max_bytes, limits.max_degree,
-        str(k_policy), split_policy,
-        *extra_key,
-    )
-    (parts, stats), cached = ctx.cache.get_or_build(
-        "partition", key,
-        lambda: partition_to_list(
-            cst, plan.order, limits,
-            k_policy=k_policy, split_policy=split_policy,
-        ),
-    )
-    return parts, stats, cached
 
 
 def plan_stage(
@@ -236,11 +206,63 @@ def passthrough_partition_stage(
     """FAST-DRAM's degenerate partition stage: the whole CST is one
     FPGA-resident piece (card DRAM has no ``delta_S`` limit)."""
     with ctx.stage("partition") as st:
-        scheduler = WorkloadScheduler(delta=0.0)
-        scheduler.assign(cst)
+        workload = estimate_workload(cst)
         st.note(num_partitions=1, num_splits=0, cached=False)
     return ScheduledWork(
-        fpga_parts=[cst], cpu_parts=[], stats=None, scheduler=scheduler
+        fpga_parts=(cst,), cpu_parts=(), stats=None,
+        fpga_workloads=(workload,),
+    )
+
+
+def _route_partitions(
+    cst: CST,
+    order: tuple[int, ...],
+    limits: PartitionLimits,
+    k_policy: int | str,
+    split_policy: str,
+    delta: float,
+) -> ScheduledWork:
+    """Algorithm 2 with Algorithm 3 routing each emitted partition.
+
+    At ``delta > 0`` the scheduler may also claim a whole oversized
+    CST for the CPU before it is split (FAST-SHARE, Section VII-B).
+    A fresh scheduler per call makes the result a pure function of
+    the arguments, which is what lets the stage memoize it.
+    """
+    scheduler = WorkloadScheduler(delta=delta)
+    fpga_parts: list[CST] = []
+    fpga_workloads: list[float] = []
+    cpu_parts: list[CST] = []
+
+    def sink(part: CST) -> None:
+        workload = estimate_workload(part)
+        if scheduler.assign(part, workload) == "cpu":
+            cpu_parts.append(part)
+        else:
+            fpga_parts.append(part)
+            fpga_workloads.append(workload)
+
+    def intercept(oversized: CST) -> bool:
+        workload = estimate_workload(oversized)
+        if scheduler.would_accept_cpu(workload):
+            scheduler.assign(oversized, workload)
+            cpu_parts.append(oversized)
+            return True
+        return False
+
+    stats = partition_cst(
+        cst, order, limits, sink,
+        k_policy=k_policy,
+        intercept=intercept if delta > 0 else None,
+        split_policy=split_policy,
+    )
+    return ScheduledWork(
+        fpga_parts=tuple(fpga_parts),
+        cpu_parts=tuple(cpu_parts),
+        stats=stats,
+        fpga_workloads=tuple(fpga_workloads),
+        delta=delta,
+        cpu_fraction=scheduler.cpu_fraction,
     )
 
 
@@ -253,48 +275,29 @@ def partition_stage(
     k_policy: int | str = "greedy",
     split_policy: str = "order",
     delta: float = 0.0,
-    absorb_oversized: bool = False,
 ) -> ScheduledWork:
-    """Algorithm 2 (+ Algorithm 3 routing of each emitted partition).
+    """Algorithm 2 (+ Algorithm 3 routing of each emitted partition),
+    memoized per ``(data, query, order, delta_S, delta_D, policies,
+    delta)``.
 
-    With ``absorb_oversized`` (FAST-SHARE), the scheduler may claim a
-    whole oversized CST for the CPU before it is split; that couples
-    partitioning to live scheduler state, so the fused path bypasses
-    the partition cache. The pure path partitions once (memoized) and
-    replays scheduling over the cached list, which is equivalent
-    because execution never feeds back into Algorithm 3's decisions.
+    The key assumes ``cst`` is the full Algorithm 1 output for
+    ``(data, query)``. The host cost is charged from the partitioned
+    bytes on a hit and a miss alike, so modeled seconds do not depend
+    on cache state.
     """
-    scheduler = WorkloadScheduler(delta=delta)
-    fpga_parts: list[CST] = []
-    cpu_parts: list[CST] = []
     with ctx.stage("partition") as st:
-        if absorb_oversized and delta > 0:
-            def sink(part: CST) -> None:
-                target = scheduler.assign(part)
-                (cpu_parts if target == "cpu" else fpga_parts).append(part)
-
-            def intercept(oversized: CST) -> bool:
-                workload = estimate_workload(oversized)
-                if scheduler.would_accept_cpu(workload):
-                    scheduler.assign(oversized, workload)
-                    cpu_parts.append(oversized)
-                    return True
-                return False
-
-            stats = partition_cst(
-                cst, plan.order, limits, sink,
-                k_policy=k_policy, intercept=intercept,
-                split_policy=split_policy,
-            )
-            cached = False
-        else:
-            parts, stats, cached = cached_partition_list(
-                ctx, data, cst, plan, limits,
-                k_policy=k_policy, split_policy=split_policy,
-            )
-            for part in parts:
-                target = scheduler.assign(part)
-                (cpu_parts if target == "cpu" else fpga_parts).append(part)
+        key = (
+            data, plan.query.graph, plan.order,
+            limits.max_bytes, limits.max_degree,
+            str(k_policy), split_policy, delta,
+        )
+        work, cached = ctx.cache.get_or_build(
+            "partition", key,
+            lambda: _route_partitions(
+                cst, plan.order, limits, k_policy, split_policy, delta
+            ),
+        )
+        stats = work.stats
         st.modeled_seconds += ctx.host_seconds(
             stats.total_bytes // ENTRY_BYTES, data
         )
@@ -303,10 +306,7 @@ def partition_stage(
             num_splits=stats.num_splits,
             cached=cached,
         )
-    return ScheduledWork(
-        fpga_parts=fpga_parts, cpu_parts=cpu_parts,
-        stats=stats, scheduler=scheduler,
-    )
+    return work
 
 
 def schedule_stage(ctx: RunContext, work: ScheduledWork) -> ScheduledWork:
@@ -315,8 +315,8 @@ def schedule_stage(ctx: RunContext, work: ScheduledWork) -> ScheduledWork:
         st.note(
             cpu_csts=len(work.cpu_parts),
             fpga_csts=len(work.fpga_parts),
-            cpu_workload_fraction=work.scheduler.cpu_fraction,
-            delta=work.scheduler.delta,
+            cpu_workload_fraction=work.cpu_fraction,
+            delta=work.delta,
         )
         ledger = ctx.health_ledger
         if ledger is not None:

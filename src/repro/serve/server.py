@@ -7,11 +7,13 @@ robustness envelope:
 
 * **Residency** — one bounded
   :class:`~repro.runtime.context.StageCache` spans every request, so
-  hot datasets keep their CSTs (and partitions) resident; the CST of
+  hot datasets keep their CSTs and routed partitions resident (a
+  repeat request runs neither Algorithm 1 nor Algorithm 2); the CST of
   the batch currently being served is pinned against eviction, and a
   small LRU keeps the hottest data graphs loaded.
 * **Coalescing** — queued jobs sharing a ``(dataset, query)`` pair run
-  back-to-back as one batch, so all but the first hit the CST cache.
+  back-to-back as one batch, so all but the first hit the CST and
+  partition caches.
 * **Admission** — a token bucket over estimated modeled cost
   (:mod:`repro.serve.admission`): admit, queue, or shed. The server
   refuses work (``SHED``) instead of growing without bound.
