@@ -21,6 +21,13 @@ while it has more than one candidate, else on the next order vertex).
 The resulting partitions have pairwise-disjoint search spaces whose
 union is the original search space (the paper's Example 3 property),
 which the test suite verifies.
+
+Every node of the split tree is a keep-mask over the candidates of
+the *root* CST (:class:`MaskedCST`), whose adjacencies are flattened
+once into global entry arrays (:class:`FlatCST`). A node's size,
+``D_CST`` and workload estimate each take a few whole-array passes;
+CSR arrays are built only for the partitions handed to the sink, and
+share the root's arrays by reference wherever they keep them whole.
 """
 
 from __future__ import annotations
@@ -28,11 +35,13 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from repro.common.errors import PartitionError
-from repro.cst.structure import CST, CandidateAdjacency
+from repro.cst.structure import CST, ENTRY_BYTES, CandidateAdjacency
+from repro.cst.workload import row_sums
 
 #: Hard cap on emitted partitions - a guard against thresholds so small
 #: that partitioning degenerates into per-candidate enumeration.
@@ -51,13 +60,6 @@ class PartitionLimits:
     max_bytes: int
     max_degree: int
 
-    def satisfied_by(self, cst: CST) -> bool:
-        """Whether ``cst`` fits both thresholds."""
-        return (
-            cst.size_bytes() <= self.max_bytes
-            and cst.max_candidate_degree() <= self.max_degree
-        )
-
 
 @dataclass
 class PartitionStats:
@@ -71,40 +73,237 @@ class PartitionStats:
     split_factors: list[int] = field(default_factory=list)
 
 
+def _concat(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.empty(0, np.int64)
+
+
+class FlatCST:
+    """A CST's adjacencies flattened into global entry arrays.
+
+    Candidate ``i`` of query vertex ``u`` is global candidate
+    ``voff[u] + i``; row ``i`` of the ``e``-th adjacency is global row
+    ``roff[e] + i``. Entries run in adjacency, row and target order;
+    per entry, ``rowid`` is its global row, ``tgt`` its local target
+    and ``src``/``dst`` the global candidates it joins.
+    """
+
+    def __init__(self, cst: CST) -> None:
+        self.cst = cst
+        self.sizes = [len(c) for c in cst.candidates]
+        self.voff = list(accumulate(self.sizes, initial=0))
+        self.edges = list(cst.adjacency)
+        self.edge_index = {edge: e for e, edge in enumerate(self.edges)}
+        adjs = list(cst.adjacency.values())
+        num_rows = [adj.num_rows for adj in adjs]
+        self.roff = list(accumulate(num_rows, initial=0))
+        #: Per vertex, the entries a kept candidate costs in ``|CST|``:
+        #: itself plus one CSR offset per adjacency it sources.
+        self.weight = [1] * len(self.sizes)
+        for a, _b in self.edges:
+            self.weight[a] += 1
+        #: Per global row, its source candidate and its adjacency's
+        #: first row; per entry, the target vertex's first candidate.
+        self.row_src = _concat([
+            np.arange(self.voff[a], self.voff[a] + n, dtype=np.int64)
+            for (a, _b), n in zip(self.edges, num_rows)
+        ])
+        self.row_start = np.repeat(
+            np.array(self.roff[:-1], dtype=np.int64), num_rows
+        )
+        self.rowid = np.repeat(
+            np.arange(self.roff[-1], dtype=np.int64),
+            _concat([np.diff(adj.indptr) for adj in adjs]),
+        )
+        self.tgt = _concat([adj.targets for adj in adjs])
+        self.src = self.row_src[self.rowid]
+        self.dst_base = np.repeat(
+            np.array([self.voff[b] for _a, b in self.edges], np.int64),
+            [adj.num_entries() for adj in adjs],
+        )
+        self.dst = self.tgt + self.dst_base
+
+    def root(self) -> "MaskedCST":
+        return MaskedCST(
+            self, np.ones(self.voff[-1], dtype=bool), np.arange(len(self.src))
+        )
+
+
+class MaskedCST:
+    """A sub-CST of a :class:`FlatCST`'s CST, held as a keep-mask.
+
+    ``idx`` lists the alive entries (both endpoints kept), ``counts``
+    the kept candidates per query vertex (counted from ``mask`` unless
+    given) and ``row_lens`` the alive entries per global row; global
+    row ``r``'s alive entries are ``idx[ends[r]:ends[r + 1]]``.
+    ``size_bytes`` and ``degree`` are the materialized CST's ``|CST|``
+    and ``D_CST``.
+    """
+
+    __slots__ = ("flat", "mask", "idx", "counts", "row_lens", "ends",
+                 "size_bytes", "degree", "_workload")
+
+    def __init__(self, flat: FlatCST, mask: np.ndarray, idx: np.ndarray,
+                 counts: list[int] | None = None) -> None:
+        self.flat, self.mask, self.idx = flat, mask, idx
+        self.counts = counts if counts is not None else [
+            int(np.count_nonzero(mask[lo:hi]))
+            for lo, hi in zip(flat.voff, flat.voff[1:])
+        ]
+        num_rows = flat.roff[-1]
+        self.row_lens = np.bincount(flat.rowid[idx], minlength=num_rows)
+        self.ends = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(self.row_lens, out=self.ends[1:])
+        self.size_bytes = ENTRY_BYTES * (
+            sum(n * w for n, w in zip(self.counts, flat.weight))
+            + len(idx) + len(flat.edges)
+        )
+        self.degree = int(self.row_lens.max()) if num_rows else 0
+        self._workload: float | None = None
+
+    def entries(self, e: int) -> np.ndarray:
+        """Alive global entry ids of the ``e``-th adjacency."""
+        roff = self.flat.roff
+        return self.idx[self.ends[roff[e]]:self.ends[roff[e + 1]]]
+
+    def split(
+        self, u: int, k: int, later: tuple[int, ...]
+    ) -> list[MaskedCST]:
+        """The sub-CSTs keeping one of ``np.array_split``'s ``k`` parts
+        of ``C(u)`` each, filtering the ``later`` vertices (Algorithm 2,
+        lines 7-12). A tree-only index's missing edges are skipped."""
+        flat, voff = self.flat, self.flat.voff
+        # Per filtered vertex, its alive entries toward each filtered
+        # neighbour as (global target, local source), fixed across parts.
+        filtered = {u}
+        probes = []
+        for u2 in later:
+            rows = [
+                (flat.dst[es], flat.src[es] - voff[u2])
+                for es in (
+                    self.entries(flat.edge_index[(u2, nb)])
+                    for nb in flat.cst.query.neighbors(u2)
+                    if nb in filtered and (u2, nb) in flat.edge_index
+                )
+            ]
+            if rows:
+                probes.append((u2, voff[u2], voff[u2 + 1], rows))
+                filtered.add(u2)
+        src, dst = flat.src[self.idx], flat.dst[self.idx]
+        lo, hi = voff[u], voff[u + 1]
+        kept = np.flatnonzero(self.mask[lo:hi]) + lo
+        step, extra = divmod(len(kept), k)
+        children = []
+        for i in range(k):
+            part = kept[i * step + min(i, extra):][:step + (i < extra)]
+            mask = self.mask.copy()
+            mask[lo:hi] = False
+            mask[part] = True
+            counts = list(self.counts)
+            counts[u] = len(part)
+            for u2, start, stop, rows in probes:
+                keep = np.ones(stop - start, dtype=bool)
+                for targets, sources in rows:
+                    hit = np.zeros(stop - start, dtype=bool)
+                    hit[sources[mask[targets]]] = True
+                    keep &= hit
+                mask[start:stop] = keep
+                counts[u2] = int(np.count_nonzero(keep))
+            children.append(MaskedCST(
+                flat, mask, self.idx[mask[src] & mask[dst]], counts
+            ))
+        return children
+
+    def workload(self) -> float:
+        """``estimate_workload`` of the materialized CST, bit for bit:
+        the alive entries, in row order, are the compacted CSR's. Below
+        a tree leaf all weights are 1.0, so row sums are row lengths."""
+        if self._workload is None:
+            flat, tree = self.flat, self.flat.cst.tree
+            weights: dict[int, np.ndarray] = {}
+            for u in reversed(tree.bfs_order):
+                for child in tree.children[u]:
+                    e = flat.edge_index[(u, child)]
+                    lo, hi = flat.roff[e], flat.roff[e + 1]
+                    sums = row_sums(
+                        self.ends[lo:hi + 1] - self.ends[lo],
+                        flat.tgt[self.entries(e)], weights[child],
+                    ) if child in weights else (
+                        self.row_lens[lo:hi].astype(np.float64)
+                    )
+                    weights[u] = weights[u] * sums if u in weights else sums
+            root = tree.root
+            keep = self.mask[flat.voff[root]:flat.voff[root + 1]]
+            self._workload = float(
+                weights[root][keep].sum() if root in weights
+                else self.counts[root]
+            )
+        return self._workload
+
+    def materialize(self) -> CST:
+        """The sub-CST's CSR arrays, built in one global pass. A
+        candidate set kept whole, and an adjacency between two, is the
+        root's array by reference."""
+        flat, cst, voff = self.flat, self.flat.cst, self.flat.voff
+        whole = [n == size for n, size in zip(self.counts, flat.sizes)]
+        if all(whole):
+            return cst
+        # Kept rows' running alive-entry counts within their adjacency
+        # (CSR offsets past the leading 0); alive entries' targets
+        # renumbered among the kept candidates.
+        row_ends = (self.ends[1:] - self.ends[flat.row_start])[
+            self.mask[flat.row_src]
+        ]
+        rank = np.zeros(len(self.mask) + 1, dtype=np.int64)
+        np.cumsum(self.mask, out=rank[1:])
+        targets = rank[flat.dst[self.idx]] - rank[flat.dst_base[self.idx]]
+        edge_ends = self.ends[flat.roff].tolist()
+        adjacency = {}
+        row = 0
+        for e, (a, b) in enumerate(flat.edges):
+            row += self.counts[a]
+            adjacency[(a, b)] = cst.adjacency[(a, b)] if (
+                whole[a] and whole[b]
+            ) else CandidateAdjacency(
+                np.concatenate(([0], row_ends[row - self.counts[a]:row])),
+                targets[edge_ends[e]:edge_ends[e + 1]],
+            )
+        return CST(cst.query, cst.tree, [
+            c if whole[u] else c[self.mask[voff[u]:voff[u + 1]]]
+            for u, c in enumerate(cst.candidates)
+        ], adjacency, cst.tree_only)
+
+
 def partition_cst(
     cst: CST,
     order: tuple[int, ...],
     limits: PartitionLimits,
-    sink: Callable[[CST], None],
+    sink: Callable[[CST, float], None],
     k_policy: int | str = "greedy",
     max_partitions: int = DEFAULT_MAX_PARTITIONS,
-    intercept: Callable[[CST], bool] | None = None,
+    intercept: Callable[[float], bool] | None = None,
     split_policy: str = "order",
 ) -> PartitionStats:
     """Partition ``cst`` until every piece fits ``limits``.
 
-    Each conforming piece is handed to ``sink`` immediately (mirroring
-    the paper's offload-as-soon-as-ready behaviour). ``k_policy`` is
-    ``"greedy"`` (the paper's adaptive factor) or a fixed integer
-    (the Fig. 8 sensitivity study). Returns the accumulated stats.
+    Each conforming piece goes to ``sink(part, workload)`` at once (the
+    paper's offload-as-soon-as-ready behaviour), with ``workload ==
+    estimate_workload(part)``. ``k_policy`` is ``"greedy"`` (the
+    paper's adaptive factor) or a fixed integer (the Fig. 8 study).
 
-    ``intercept``, when given, is consulted before any oversized CST is
-    split; returning True consumes the CST without splitting. This is
-    how FAST-SHARE hands whole oversized CSTs to the CPU, "reducing the
+    ``intercept``, when given, is offered the workload of every
+    oversized CST before it is split; returning True hands the whole
+    CST to ``sink`` instead, uncounted in the returned stats. This is
+    how FAST-SHARE gives whole oversized CSTs to the CPU, "reducing the
     cost of partitioning" (Section VII-B).
 
     ``split_policy`` selects the vertex whose candidate set is split:
-
-    * ``"order"`` - Algorithm 2 verbatim: the next matching-order
-      vertex, advancing only when its candidate set is a singleton;
-    * ``"degree"`` - an optimisation beyond the paper: when the port
-      cap delta_D is the violated constraint, split the *target*
-      candidate set of the longest adjacency row (which is what
-      actually shortens rows), otherwise the largest candidate set.
-      This collapses the hub-query partition explosions documented in
-      EXPERIMENTS.md while preserving the disjoint-and-complete
-      partition property (the restriction construction is independent
-      of which vertex is split).
+    ``"order"`` is Algorithm 2 verbatim (the next matching-order
+    vertex, advancing only past singletons); ``"degree"``, beyond the
+    paper, splits the *target* set of the longest adjacency row when
+    delta_D is violated (which is what actually shortens rows), else
+    the largest candidate set. It collapses the hub-query partition
+    explosions of EXPERIMENTS.md, and partitions stay disjoint and
+    complete whichever vertex is split.
     """
     if isinstance(k_policy, str):
         if k_policy != "greedy":
@@ -117,9 +316,54 @@ def partition_cst(
         raise PartitionError(f"unknown split policy {split_policy!r}")
 
     stats = PartitionStats()
+    flat = FlatCST(cst)
     order_rank = {u: i for i, u in enumerate(order)}
-    _recurse(cst, order, order_rank, 0, limits, sink, k_policy, stats, 0,
-             max_partitions, intercept, split_policy)
+    # Depth-first, children in split order: the sink sees partitions in
+    # Algorithm 2's recursion order.
+    stack = [(flat.root(), 0, 0)]
+    while stack:
+        node, index, depth = stack.pop()
+        stats.max_recursion_depth = max(stats.max_recursion_depth, depth)
+        if 0 in node.counts:
+            stats.num_empty_skipped += 1
+            continue
+        fits = (node.size_bytes <= limits.max_bytes
+                and node.degree <= limits.max_degree)
+        if fits:
+            stats.num_partitions += 1
+            stats.total_bytes += node.size_bytes
+            if stats.num_partitions > max_partitions:
+                raise PartitionError(
+                    f"more than {max_partitions} partitions; thresholds "
+                    f"{limits} are too small for this CST"
+                )
+        if fits or (intercept is not None and intercept(node.workload())):
+            sink(node.materialize(), node.workload())
+            continue
+        if split_policy == "degree":
+            u = _degree_split_vertex(node, limits)
+        else:
+            u = order[index] if index < len(order) else None
+            if u is not None and node.counts[u] <= 1:
+                stack.append((node, index + 1, depth + 1))
+                continue
+        if u is None:
+            raise PartitionError(
+                "CST violates limits even with singleton candidate sets; "
+                f"limits {limits} cannot be met"
+            )
+        if k_policy == "greedy":
+            k = math.ceil(max(
+                node.size_bytes / limits.max_bytes,
+                node.degree / limits.max_degree,
+            ))
+        else:
+            k = int(k_policy)
+        k = max(2, min(k, node.counts[u]))
+        stats.num_splits += 1
+        stats.split_factors.append(k)
+        children = node.split(u, k, order[order_rank[u] + 1:])
+        stack.extend((child, index, depth + 1) for child in reversed(children))
     return stats
 
 
@@ -134,8 +378,8 @@ def partition_to_list(
     """Convenience wrapper collecting partitions into a list."""
     parts: list[CST] = []
     stats = partition_cst(
-        cst, order, limits, parts.append, k_policy, max_partitions,
-        split_policy=split_policy,
+        cst, order, limits, lambda part, _workload: parts.append(part),
+        k_policy, max_partitions, split_policy=split_policy,
     )
     return parts, stats
 
@@ -143,78 +387,9 @@ def partition_to_list(
 # ----------------------------------------------------------------------
 
 
-def _recurse(
-    cst: CST,
-    order: tuple[int, ...],
-    order_rank: dict[int, int],
-    index: int,
-    limits: PartitionLimits,
-    sink: Callable[[CST], None],
-    k_policy: int | str,
-    stats: PartitionStats,
-    depth: int,
-    max_partitions: int,
-    intercept: Callable[[CST], bool] | None = None,
-    split_policy: str = "order",
-) -> None:
-    stats.max_recursion_depth = max(stats.max_recursion_depth, depth)
-    if cst.is_empty():
-        stats.num_empty_skipped += 1
-        return
-    if limits.satisfied_by(cst):
-        stats.num_partitions += 1
-        stats.total_bytes += cst.size_bytes()
-        if stats.num_partitions > max_partitions:
-            raise PartitionError(
-                f"more than {max_partitions} partitions; thresholds "
-                f"{limits} are too small for this CST"
-            )
-        sink(cst)
-        return
-    if intercept is not None and intercept(cst):
-        return
-    if index >= len(order):
-        raise PartitionError(
-            "CST violates limits even with singleton candidate sets; "
-            f"limits {limits} cannot be met"
-        )
-
-    if split_policy == "degree":
-        u = _degree_split_vertex(cst, limits)
-        if u is None:
-            raise PartitionError(
-                "CST violates limits even with singleton candidate "
-                f"sets; limits {limits} cannot be met"
-            )
-        n_u = cst.candidate_count(u)
-    else:
-        u = order[index]
-        n_u = cst.candidate_count(u)
-        if n_u <= 1:
-            _recurse(cst, order, order_rank, index + 1, limits, sink,
-                     k_policy, stats, depth + 1, max_partitions,
-                     intercept, split_policy)
-            return
-
-    if k_policy == "greedy":
-        k = math.ceil(max(
-            cst.size_bytes() / limits.max_bytes,
-            cst.max_candidate_degree() / limits.max_degree,
-        ))
-    else:
-        k = int(k_policy)
-    k = max(2, min(k, n_u))
-    stats.num_splits += 1
-    stats.split_factors.append(k)
-
-    for part in np.array_split(np.arange(n_u, dtype=np.int64), k):
-        sub = _restrict(cst, order, order_rank, u, part)
-        _recurse(sub, order, order_rank, index, limits, sink,
-                 k_policy, stats, depth + 1, max_partitions, intercept,
-                 split_policy)
-
-
-def _degree_split_vertex(cst: CST, limits: PartitionLimits) -> int | None:
+def _degree_split_vertex(
+    node: MaskedCST, limits: PartitionLimits
+) -> int | None:
     """Pick the split vertex for the ``degree`` policy.
 
     If the port cap is violated, the longest adjacency row's *target*
@@ -223,131 +398,16 @@ def _degree_split_vertex(cst: CST, limits: PartitionLimits) -> int | None:
     rounds first. Otherwise (size violation) the largest candidate set
     is split. Returns None when every candidate set is a singleton.
     """
-    if cst.max_candidate_degree() > limits.max_degree:
+    counts = node.counts
+    if node.degree > limits.max_degree:
+        longest = np.maximum.reduceat(node.row_lens, node.flat.roff[:-1])
         best: tuple[int, int] | None = None
-        for (_a, b), adj in cst.adjacency.items():
-            row_len = adj.max_row_len()
-            if cst.candidate_count(b) > 1 and (
-                best is None or row_len > best[0]
-            ):
+        for (_a, b), row_len in zip(node.flat.edges, longest.tolist()):
+            if counts[b] > 1 and (best is None or row_len > best[0]):
                 best = (row_len, b)
         if best is not None:
             return best[1]
-    candidates = [
-        u for u in range(cst.query.num_vertices)
-        if cst.candidate_count(u) > 1
-    ]
-    if not candidates:
-        return None
-    return max(candidates, key=cst.candidate_count)
-
-
-def _restrict(
-    cst: CST,
-    order: tuple[int, ...],
-    order_rank: dict[int, int],
-    u: int,
-    part_positions: np.ndarray,
-) -> CST:
-    """Sub-CST induced by keeping ``part_positions`` of ``C(u)``.
-
-    ``keep[x]`` is ``None`` (keep all) for vertices preceding ``u`` in
-    the order, the part for ``u`` itself, and a reachability-filtered
-    position array for following vertices.
-
-    Unfiltered pieces — every ``keep[x] is None`` candidate array, and
-    every adjacency whose source *and* target sets are kept whole —
-    are shared with the parent CST *by reference*, never copied. The
-    shared-memory CST plane (:mod:`repro.runtime.shm`) leans on this:
-    its arena memoizes placements by array identity, so a buffer many
-    partitions share lands in shared memory exactly once.
-    """
-    q = cst.query
-    n = q.num_vertices
-    keep: list[np.ndarray | None] = [None] * n
-    keep[u] = part_positions
-
-    for u2 in order[order_rank[u] + 1:]:
-        base: np.ndarray | None = None
-        for nb in q.neighbors(u2):
-            if order_rank[nb] >= order_rank[u2] or keep[nb] is None:
-                continue
-            adj = cst.adjacency[(u2, nb)]
-            mask = _rows_intersecting(adj, keep[nb])
-            base = mask if base is None else (base & mask)
-        if base is not None:
-            keep[u2] = np.flatnonzero(base).astype(np.int64)
-
-    new_candidates = [
-        cst.candidates[x] if keep[x] is None else cst.candidates[x][keep[x]]
-        for x in range(n)
-    ]
-    new_adjacency = {
-        (a, b): _filter_adjacency(
-            adj,
-            keep[a],
-            keep[b],
-            len(cst.candidates[a]),
-            len(cst.candidates[b]),
-        )
-        for (a, b), adj in cst.adjacency.items()
-    }
-    return CST(
-        query=q,
-        tree=cst.tree,
-        candidates=new_candidates,
-        adjacency=new_adjacency,
+    return max(
+        (u for u, n in enumerate(counts) if n > 1),
+        key=counts.__getitem__, default=None,
     )
-
-
-def _rows_intersecting(
-    adj: CandidateAdjacency, kept_targets: np.ndarray
-) -> np.ndarray:
-    """Boolean per source position: does its row hit ``kept_targets``?"""
-    if len(adj.targets) == 0:
-        return np.zeros(adj.num_rows, dtype=bool)
-    member = np.isin(adj.targets, kept_targets, assume_unique=False)
-    prefix = np.zeros(len(member) + 1, dtype=np.int64)
-    np.cumsum(member, out=prefix[1:])
-    return (prefix[adj.indptr[1:]] - prefix[adj.indptr[:-1]]) > 0
-
-
-def _filter_adjacency(
-    adj: CandidateAdjacency,
-    keep_src: np.ndarray | None,
-    keep_dst: np.ndarray | None,
-    n_src_old: int,
-    n_dst_old: int,
-) -> CandidateAdjacency:
-    """Restrict an adjacency to kept source/target positions and remap
-    positions into the compacted candidate arrays."""
-    if keep_src is None and keep_dst is None:
-        return adj
-
-    row_index = np.repeat(
-        np.arange(adj.num_rows, dtype=np.int64), np.diff(adj.indptr)
-    )
-    entry_mask = np.ones(len(adj.targets), dtype=bool)
-    if keep_src is not None:
-        src_mask = np.zeros(n_src_old, dtype=bool)
-        src_mask[keep_src] = True
-        entry_mask &= src_mask[row_index]
-    if keep_dst is not None:
-        dst_mask = np.zeros(n_dst_old, dtype=bool)
-        dst_mask[keep_dst] = True
-        entry_mask &= dst_mask[adj.targets]
-
-    kept_rows = row_index[entry_mask]
-    kept_targets = adj.targets[entry_mask]
-    if keep_src is not None:
-        kept_rows = np.searchsorted(keep_src, kept_rows)
-        n_src_new = len(keep_src)
-    else:
-        n_src_new = n_src_old
-    if keep_dst is not None:
-        kept_targets = np.searchsorted(keep_dst, kept_targets)
-
-    counts = np.bincount(kept_rows, minlength=n_src_new).astype(np.int64)
-    indptr = np.zeros(n_src_new + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return CandidateAdjacency(indptr, kept_targets)

@@ -14,9 +14,7 @@ neighbour with no CST-adjacent candidate, so no embedding can use it.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.cst.partition import _filter_adjacency
+from repro.cst.partition import FlatCST, MaskedCST
 from repro.cst.structure import CST
 
 
@@ -25,48 +23,20 @@ def refine_cst(cst: CST, max_passes: int = 10) -> tuple[CST, int]:
 
     Returns the refined CST and the number of passes executed. Each
     pass scans every directed adjacency; a candidate survives only if
-    all its rows are non-empty. Stops early at fixpoint.
+    all its rows are non-empty. Stops early at fixpoint. The passes
+    run on a keep-mask over ``cst`` (:class:`FlatCST`), and the
+    refined CST is materialized once at the end.
     """
-    current = cst
-    for passes in range(1, max_passes + 1):
-        keep: list[np.ndarray | None] = [None] * current.query.num_vertices
-        changed = False
-        for u in range(current.query.num_vertices):
-            ok = np.ones(current.candidate_count(u), dtype=bool)
-            for w in current.query.neighbors(u):
-                if (u, w) not in current.adjacency:
-                    continue  # tree-only index: edge not materialised
-                adj = current.adjacency[(u, w)]
-                ok &= np.diff(adj.indptr) > 0
-            if not ok.all():
-                keep[u] = np.flatnonzero(ok).astype(np.int64)
-                changed = True
-        if not changed:
-            return current, passes - 1
-        current = _apply_keep(current, keep)
-    return current, max_passes
-
-
-def _apply_keep(cst: CST, keep: list[np.ndarray | None]) -> CST:
-    """Rebuild a CST restricted to the kept candidate positions."""
-    new_candidates = [
-        cst.candidates[u] if keep[u] is None else cst.candidates[u][keep[u]]
-        for u in range(cst.query.num_vertices)
-    ]
-    new_adjacency = {
-        (a, b): _filter_adjacency(
-            adj,
-            keep[a],
-            keep[b],
-            len(cst.candidates[a]),
-            len(cst.candidates[b]),
-        )
-        for (a, b), adj in cst.adjacency.items()
-    }
-    return CST(
-        query=cst.query,
-        tree=cst.tree,
-        candidates=new_candidates,
-        adjacency=new_adjacency,
-        tree_only=cst.tree_only,
-    )
+    flat = FlatCST(cst)
+    node = flat.root()
+    for passes in range(max_passes):
+        # A materialised row that lost all its entries kills its
+        # source candidate (unmaterialised tree-only edges have none).
+        unsupported = flat.row_src[node.row_lens == 0]
+        if not node.mask[unsupported].any():
+            return node.materialize(), passes
+        mask = node.mask.copy()
+        mask[unsupported] = False
+        idx = node.idx[mask[flat.src[node.idx]] & mask[flat.dst[node.idx]]]
+        node = MaskedCST(flat, mask, idx)
+    return node.materialize(), max_passes

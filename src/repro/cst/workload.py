@@ -34,9 +34,7 @@ def candidate_weights(cst: CST) -> list[np.ndarray]:
     for u in reversed(tree.bfs_order):
         for u_c in tree.children[u]:
             adj = cst.adjacency[(u, u_c)]
-            child_w = weights[u_c]
-            row_sums = _row_sums(adj.indptr, adj.targets, child_w)
-            weights[u] *= row_sums
+            weights[u] *= row_sums(adj.indptr, adj.targets, weights[u_c])
     return weights
 
 
@@ -68,7 +66,7 @@ def exact_tree_embeddings(cst: CST) -> int:
     return sum(weights[tree.root])
 
 
-def _row_sums(
+def row_sums(
     indptr: np.ndarray, targets: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
     """Per-row sums of ``values[targets]`` for a CSR layout."""

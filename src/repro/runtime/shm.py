@@ -226,10 +226,11 @@ class CstArena:
         #: prevents id reuse from aliasing two different CSTs.
         self._descriptors: dict[int, tuple[Any, Any]] = {}
         #: ``id(array) -> (array, ref)``: partitions emitted by
-        #: Algorithm 2 share their parent CST's unfiltered arrays by
-        #: reference (see ``cst/partition.py``), so each distinct
-        #: buffer is placed exactly once no matter how many partitions
-        #: carry it. Strong refs again guard against id reuse.
+        #: Algorithm 2 share the root CST's arrays by reference where
+        #: they keep them whole (see ``cst/partition.py``), so each
+        #: distinct buffer is placed exactly once no matter how many
+        #: partitions carry it. Strong refs again guard against id
+        #: reuse.
         self._placed: dict[int, tuple[Any, ArrayRef]] = {}
         #: ``(id(query), id(tree), tree_only) -> (query, tree, ref)``:
         #: one pickled header blob per distinct query/tree pair, shared

@@ -234,26 +234,17 @@ def _route_partitions(
     fpga_workloads: list[float] = []
     cpu_parts: list[CST] = []
 
-    def sink(part: CST) -> None:
-        workload = estimate_workload(part)
+    def sink(part: CST, workload: float) -> None:
         if scheduler.assign(part, workload) == "cpu":
             cpu_parts.append(part)
         else:
             fpga_parts.append(part)
             fpga_workloads.append(workload)
 
-    def intercept(oversized: CST) -> bool:
-        workload = estimate_workload(oversized)
-        if scheduler.would_accept_cpu(workload):
-            scheduler.assign(oversized, workload)
-            cpu_parts.append(oversized)
-            return True
-        return False
-
     stats = partition_cst(
         cst, order, limits, sink,
         k_policy=k_policy,
-        intercept=intercept if delta > 0 else None,
+        intercept=scheduler.would_accept_cpu if delta > 0 else None,
         split_policy=split_policy,
     )
     return ScheduledWork(

@@ -3,6 +3,8 @@ refinement."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from repro.cst.workload import (
 )
 from repro.graph.generators import random_connected_query, random_labeled_graph
 from repro.host.cpu_matcher import cst_embeddings
+from repro.host.scheduler import WorkloadScheduler
 from repro.ldbc.queries import all_queries, get_query
 from repro.query.ordering import path_based_order
 
@@ -34,6 +37,11 @@ def make_cst(query_name, data):
     cst = build_cst(q.graph, data)
     order = path_based_order(cst.tree, data)
     return cst, order
+
+
+def fits(limits: PartitionLimits, cst) -> bool:
+    return (cst.size_bytes() <= limits.max_bytes
+            and cst.max_candidate_degree() <= limits.max_degree)
 
 
 def tight_limits(cst) -> PartitionLimits:
@@ -98,7 +106,7 @@ class TestPartition:
             limits = tight_limits(cst)
             parts, _ = partition_to_list(cst, order, limits)
             for part in parts:
-                assert limits.satisfied_by(part), name
+                assert fits(limits, part), name
 
     def test_partitions_disjoint_and_complete(self, micro_graph):
         for name in ("q0", "q2", "q5", "q7"):
@@ -118,7 +126,7 @@ class TestPartition:
         cst, order = make_cst("q1", micro_graph)
         limits = tight_limits(cst)
         parts, stats = partition_to_list(cst, order, limits, k_policy=2)
-        assert all(limits.satisfied_by(p) for p in parts)
+        assert all(fits(limits, p) for p in parts)
         assert all(k == 2 for k in stats.split_factors)
 
     def test_greedy_at_most_fixed2_partitions_or_close(self, micro_graph):
@@ -149,22 +157,118 @@ class TestPartition:
     def test_intercept_consumes_oversized(self, micro_graph):
         cst, order = make_cst("q6", micro_graph)
         limits = tight_limits(cst)
-        intercepted: list = []
-        parts: list = []
-        partition_cst(cst, order, limits, parts.append,
-                      intercept=lambda c: intercepted.append(c) or True)
-        # The first violating CST is consumed whole; nothing is split.
-        assert len(intercepted) == 1
-        assert parts == []
+        offered: list[float] = []
+        handed: list = []
+        stats = partition_cst(
+            cst, order, limits, lambda p, w: handed.append((p, w)),
+            intercept=lambda w: offered.append(w) or True,
+        )
+        # The first violating CST - the root - is consumed whole and
+        # handed to the sink with its workload; nothing is split.
+        assert offered == [estimate_workload(cst)]
+        assert len(handed) == 1
+        assert handed[0][0] is cst
+        assert handed[0][1] == offered[0]
+        assert stats.num_splits == 0
+        assert stats.num_partitions == 0
+        assert stats.total_bytes == 0
 
     def test_intercept_false_proceeds(self, micro_graph):
         cst, order = make_cst("q1", micro_graph)
         limits = tight_limits(cst)
-        baseline, _ = partition_to_list(cst, order, limits)
+        baseline, base_stats = partition_to_list(cst, order, limits)
         parts: list = []
-        partition_cst(cst, order, limits, parts.append,
-                      intercept=lambda c: False)
+        offered: list[float] = []
+        stats = partition_cst(
+            cst, order, limits, lambda p, _w: parts.append(p),
+            intercept=lambda w: offered.append(w) or False,
+        )
+        # Every oversized CST is offered (again after each singleton
+        # advance); declining all yields exactly the baseline.
+        assert len(offered) >= base_stats.num_splits > 0
+        assert stats == base_stats
         assert len(parts) == len(baseline)
+        for part, base in zip(parts, baseline):
+            for u in range(cst.query.num_vertices):
+                assert np.array_equal(part.candidates[u], base.candidates[u])
+            assert part.adjacency.keys() == base.adjacency.keys()
+            for edge, adj in part.adjacency.items():
+                assert np.array_equal(adj.indptr, base.adjacency[edge].indptr)
+                assert np.array_equal(
+                    adj.targets, base.adjacency[edge].targets
+                )
+
+    def test_tree_only_partitions_keep_flag(self, micro_graph):
+        # q8 has non-tree edges, which a tree-only index does not
+        # materialise: the restriction must skip them, and every
+        # partition must stay a consistent tree-only CST.
+        q = get_query("q8").graph
+        cst = build_cst(q, micro_graph, include_non_tree=False)
+        order = path_based_order(cst.tree, micro_graph)
+        parts, stats = partition_to_list(cst, order, tight_limits(cst))
+        assert stats.num_splits > 0
+        for part in parts:
+            assert part.tree_only
+            part.check_consistency()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        data_seed=st.integers(0, 3000),
+        query_seed=st.integers(0, 3000),
+        qn=st.integers(2, 6),
+        size_divisor=st.integers(2, 12),
+        degree_divisor=st.integers(1, 4),
+        k_policy=st.sampled_from(["greedy", 2, 3, 7]),
+        split_policy=st.sampled_from(["order", "degree"]),
+        delta=st.sampled_from([0.0, 0.05, 0.1, 0.3]),
+    )
+    def test_sink_contract_random(
+        self, data_seed, query_seed, qn, size_divisor, degree_divisor,
+        k_policy, split_policy, delta,
+    ):
+        """Every handed part is consistent and weighed exactly, and the
+        stats count exactly the non-intercepted parts."""
+        data = random_labeled_graph(40, 170, 3, seed=data_seed)
+        query = random_connected_query(
+            qn, min(qn * (qn - 1) // 2, qn + 2), 3, seed=query_seed
+        )
+        cst = build_cst(query, data)
+        if cst.is_empty():
+            return
+        order = path_based_order(cst.tree, data)
+        limits = PartitionLimits(
+            max_bytes=max(400, cst.size_bytes() // size_divisor),
+            max_degree=max(3, cst.max_candidate_degree() // degree_divisor),
+        )
+        scheduler = WorkloadScheduler(delta=delta)
+        taken: list[bool] = []
+        handed: list[tuple] = []
+
+        def intercept(workload: float) -> bool:
+            take = scheduler.would_accept_cpu(workload)
+            taken.append(take)
+            return take
+
+        def sink(part, workload: float) -> None:
+            # The sink right after an accepted offer gets that CST.
+            handed.append((part, workload, bool(taken) and taken[-1]))
+            if taken:
+                taken[-1] = False
+            scheduler.assign(part, workload)
+
+        stats = partition_cst(
+            cst, order, limits, sink, k_policy=k_policy,
+            intercept=intercept if delta > 0 else None,
+            split_policy=split_policy,
+        )
+        emitted = [part for part, _w, took in handed if not took]
+        for part, workload, took in handed:
+            part.check_consistency()
+            assert workload == estimate_workload(part)
+            if not took:
+                assert fits(limits, part)
+        assert stats.num_partitions == len(emitted)
+        assert stats.total_bytes == sum(p.size_bytes() for p in emitted)
 
     def test_stats_totals(self, micro_graph):
         cst, order = make_cst("q2", micro_graph)
@@ -199,7 +303,40 @@ class TestPartition:
         assert pieces == whole
 
 
+#: ``refine_cst`` output on DG-MINI: query -> (passes, SHA-256 of the
+#: refined CST's flag, candidates and adjacency CSR arrays).
+REFINE_DIGESTS = {
+    "q0": (0, "496ea425f4c075bab9fc4df73e35406cc17b31d4a70a5458aa562d181930a2a7"),
+    "q1": (1, "5047716ef10e8544340c846be34be746e3678f0e7c39454746161b78c7d605cc"),
+    "q2": (0, "e4fd96898b8fdff758e8d99c8a4830f8dfc0f599a5f2c0ff9c1e54a53f8310e7"),
+    "q3": (1, "23f12bff84784fa2235cab4a4b9bfee0e947f0da850614c8a35c33ad9b996301"),
+    "q4": (0, "cc12814654421737e768c9855a72b03afb7187e33c2a62ec1dfe50a998ae62d7"),
+    "q5": (0, "e3a72c378a6c37ea3ccdd72947f63749f807c9865692691ba2e756afa4d3ee16"),
+    "q6": (0, "5ff65d2871490d930665a3ac95cdc2be964b46071a66e04fcbe864c672aa98d8"),
+    "q7": (1, "2b3278712d330dd16c86f94fd65dab65bf478506fff5f80ff76a162e3b52067c"),
+    "q8": (0, "9b0c45700fd9cb05423a973543d8006df56678dff95128c6a5c15df7a81c20d1"),
+}
+
+
+def cst_digest(cst) -> str:
+    h = hashlib.sha256()
+    h.update(repr(cst.tree_only).encode())
+    arrays = list(cst.candidates)
+    for edge in sorted(cst.adjacency):
+        h.update(repr(edge).encode())
+        arrays += [cst.adjacency[edge].indptr, cst.adjacency[edge].targets]
+    for arr in arrays:
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 class TestRefine:
+    @pytest.mark.parametrize("name", sorted(REFINE_DIGESTS))
+    def test_refine_digest(self, mini_graph, name):
+        refined, passes = refine_cst(build_cst(get_query(name).graph, mini_graph))
+        assert (passes, cst_digest(refined)) == REFINE_DIGESTS[name]
+
     def test_refine_preserves_embeddings(self, micro_graph):
         for name in ("q1", "q3", "q6"):
             cst = build_cst(get_query(name).graph, micro_graph)

@@ -13,7 +13,9 @@ over the same context.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.fpga.config import FpgaConfig
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import get_query
 from repro.runtime.registry import REGISTRY
+from repro.runtime.stages import build_cst_stage, partition_stage, plan_stage
 
 #: The perfbench ``shatter`` device: 4 KB of BRAM, 4 ports, batch 16.
 SHATTER = FpgaConfig(bram_bytes=4 * 1024, batch_size=16, max_ports=4)
@@ -117,3 +120,25 @@ def test_partition_stage_digest(case, graphs, monkeypatch):
             work_digest(captured[-1], outcome.metrics["stages"]["plan"]["order"])
         )
     assert digests == [DIGESTS[case]] * 2
+
+
+def test_partitions_freed_without_gc(graphs):
+    """Dropping a ``ScheduledWork`` frees its partitions by reference
+    counting alone: no reference cycle keeps a run's partitions alive
+    until the next full collection (a memory leak under load)."""
+    ctx = make_context(
+        HarnessConfig(fpga=SHATTER, delta=0.1, stage_cache=False)
+    )
+    data = graphs["DG-MINI"]
+    plan = plan_stage(ctx, get_query("q1").graph, data, None)
+    cst = build_cst_stage(ctx, plan, data)
+    limits = SHATTER.partition_limits(plan.query)
+    gc.disable()
+    try:
+        work = partition_stage(ctx, data, cst, plan, limits, delta=0.1)
+        assert work.stats.num_splits > 0 and work.cpu_parts
+        part = weakref.ref(work.fpga_parts[-1])
+        del work
+        assert part() is None
+    finally:
+        gc.enable()

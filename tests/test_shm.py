@@ -123,8 +123,8 @@ class TestDescriptorRoundTrip:
         try:
             assert_roundtrip_exact(cst, arena)
             # Every Algorithm 2 partition round-trips exactly too —
-            # partitions share unfiltered arrays with the parent, the
-            # exact case the arena's identity memo covers.
+            # partitions share the root's arrays where they keep them
+            # whole, the exact case the arena's identity memo covers.
             order = path_based_order(cst.tree, data)
             limits = PartitionLimits(
                 max_bytes=max(cst.size_bytes() // 4, 64),

@@ -36,7 +36,8 @@ class TestDegreePolicy:
                                      split_policy="degree")
         seen = set()
         for part in parts:
-            assert limits.satisfied_by(part)
+            assert part.size_bytes() <= limits.max_bytes
+            assert part.max_candidate_degree() <= limits.max_degree
             for emb in cst_embeddings(part, order):
                 assert emb not in seen, "overlap"
                 seen.add(emb)
