@@ -376,13 +376,17 @@ def _outcome_rows(out: RunOutcome) -> list[tuple[str, object]]:
         ("embeddings", out.embeddings if out.ok else "-"),
         ("time_ms", out.seconds * 1e3 if out.ok else "-"),
     ]
-    for name, stage in out.metrics.get("stages", {}).items():
+    stages = out.metrics.get("stages", {})
+    for name, stage in stages.items():
         rows.append((
             f"{name}_modeled_ms", stage.get("modeled_seconds", 0.0) * 1e3
         ))
     health = _health_summary(out.health)
     if health is not None:
         rows.append(("health", health))
+    resumed = stages.get("execute", {}).get("resumed_partitions")
+    if resumed:
+        rows.append(("resumed_partitions", resumed))
     if out.detail:
         rows.append(("detail", out.detail))
     return rows

@@ -197,30 +197,6 @@ class FastEngine:
                     )
         return report
 
-    def run_many(
-        self,
-        csts: list[CST],
-        order: tuple[int, ...] | None = None,
-        collect_results: bool = False,
-    ) -> KernelReport:
-        """Match a sequence of CST partitions; reports are merged.
-
-        Mirrors step 4 of the system overview: the kernel processes
-        partitions one after another as long as any remain.
-        """
-        cfg = self.config
-        total = KernelReport(variant=self.variant, clock_mhz=cfg.clock_mhz)
-        if collect_results:
-            total.results = []
-        plan = None
-        for cst in csts:
-            if plan is None:
-                o = order if order is not None else tuple(cst.tree.bfs_order)
-                plan = build_plan(cst.query, o)
-            total.merge(self.run(cst, collect_results=collect_results,
-                                 plan=plan))
-        return total
-
     # ------------------------------------------------------------------
     # Per-round timing
     # ------------------------------------------------------------------

@@ -4,19 +4,28 @@ The paper notes that because every CST partition is an independent,
 complete search space, FAST extends naturally to multiple FPGAs: "the
 CPU can assign the CST structure to the FPGA with the minimum total
 workload and collect final results after all the FPGAs complete their
-tasks". This module implements exactly that scheduler on top of the
-simulated device, reusing the staged pipeline's ``plan`` and
-``build_cst`` stages (so a shared :class:`RunContext` lets multi-FPGA
-sweeps reuse cached CSTs):
+tasks". Placement is the only multi-FPGA step, so this runner threads
+the same ``plan -> build_cst -> partition -> schedule -> execute ->
+merge`` stages as :class:`~repro.host.runtime.FastRunner` over a
+shared :class:`RunContext` (a shared context lets multi-FPGA sweeps
+reuse cached CSTs), and supplies only the ``schedule`` stage's
+placement rule:
 
 * partitions come out of the shared ``partition`` stage at
   ``delta = 0`` (memoized per configuration in the context's stage
   cache), together with each one's Algorithm 3 workload estimate;
 * each is assigned to the device with the least accumulated estimated
-  workload (greedy min-load, the online analogue of LPT);
-* each device runs its own :class:`~repro.fpga.engine.FastEngine` and
-  PCIe link; end-to-end time is host preparation plus the slowest
-  device (the makespan).
+  workload (greedy min-load, the online analogue of LPT), biased by
+  the health ledger's per-device penalties;
+* a dead or breaker-open device's queue is redistributed to the
+  survivors by the same rule (failover).
+
+The ``execute`` stage then runs one queue per device: every partition
+is one supervised task under its device's config, with the
+degradation ladder, per-partition journaling, deadline checks and
+fault events stamped with the device index. Each device has its own
+PCIe link, overlap timeline and result fetch; end-to-end time is host
+preparation plus the slowest device (the makespan).
 
 Beyond the paper's "N identical FPGAs", the runner accepts a
 heterogeneous ``fleet`` of catalog parts
@@ -37,77 +46,25 @@ from dataclasses import dataclass, field
 from repro.common.errors import DeviceError, FatalDeviceError
 from repro.costs.cpu import CpuCostModel
 from repro.cst.partition import PartitionLimits
-from repro.cst.structure import CST, ENTRY_BYTES, CstDescriptor
 from repro.fpga.catalog import DeviceSpec, parse_fleet
 from repro.fpga.config import FpgaConfig
-from repro.fpga.engine import FastEngine
-from repro.fpga.kernel import MatchPlan
 from repro.fpga.report import KernelReport
 from repro.graph.graph import Graph
-from repro.host.pcie import PcieLink
-from repro.host.runtime import _ledger_scaled_limits
 from repro.query.query_graph import QueryGraph
-from repro.runtime.context import RunContext, RunMetrics
-from repro.runtime.executor import (
-    Task,
-    dispatch_partitions,
-    overlap_schedule,
-    resolve_partition,
-)
+from repro.runtime.context import RunContext, RunMetrics, StageMetrics
 from repro.runtime.faults import DEVICE_DEAD, FaultEvent
-from repro.runtime.journal import (
-    report_from_dict,
-    report_to_dict,
-    run_fingerprint,
-)
 from repro.runtime.stages import (
+    DeviceQueue,
+    ScheduledWork,
     build_cst_stage,
+    execute_stage,
+    ledger_scaled_limits,
+    merge_stage,
     partition_stage,
     plan_stage,
+    schedule_stage,
 )
-from repro.runtime.tracing import (
-    MODELED,
-    device_lane_prefix,
-    trace_device_lanes,
-)
-
-
-def _run_device(
-    cfg: FpgaConfig,
-    variant: str,
-    parts: tuple[CST | CstDescriptor, ...],
-    match_plan: MatchPlan,
-    result_vertices: int,
-    trace_modules: bool = False,
-) -> tuple[KernelReport, float, list[tuple[float, float]], float]:
-    """One device's whole queue: transfers, kernels, result fetch.
-
-    Module-level with picklable arguments so device queues can run in
-    pool workers. Returns ``(merged_kernel, pcie_seconds, segments,
-    fetch_seconds)`` where ``segments`` holds one ``(write, kernel)``
-    pair per partition for the device's own double-buffered overlap
-    timeline.
-    """
-    engine = FastEngine(cfg, variant, trace_modules=trace_modules)
-    link = PcieLink(cfg)
-    kernel: KernelReport | None = None
-    segments: list[tuple[float, float]] = []
-    pcie = 0.0
-    for ref in parts:
-        part = resolve_partition(ref)
-        cost = link.send_to_card(part.size_bytes())
-        pcie += cost
-        report = engine.run(part, plan=match_plan)
-        segments.append((cost, report.seconds))
-        if kernel is None:
-            kernel = report
-        else:
-            kernel.merge(report)
-    fetch = link.fetch_from_card(
-        kernel.embeddings * result_vertices * ENTRY_BYTES
-    )
-    pcie += fetch
-    return kernel, pcie, segments, fetch
+from repro.runtime.tracing import MODELED
 
 
 @dataclass
@@ -243,56 +200,20 @@ class MultiFpgaRunner:
             cycles += cfg.slr_crossing_penalty_cycles * remote * workload
         return cycles / cfg.clock_mhz
 
-    def run(
+    def _place(
         self,
-        query: Graph | QueryGraph,
-        data: Graph,
-        order: tuple[int, ...] | None = None,
-    ) -> MultiFpgaResult:
-        """Match ``query`` using min-workload assignment of partitions."""
-        ctx = self._context()
-        ctx.begin_run("multi-fpga")
-
-        plan = plan_stage(ctx, query, data, order)
-        q = plan.query
-        cst = build_cst_stage(ctx, plan, data)
-
+        ctx: RunContext,
+        work: ScheduledWork,
+        configs: list[FpgaConfig],
+        devices: list[DeviceLoad],
+        st: StageMetrics,
+    ) -> tuple[DeviceQueue, ...]:
+        """Section VII-E placement, then dead/breaker-open failover."""
         ledger = ctx.health_ledger
         penalties = (
             ledger.penalties(self.num_devices)
             if ledger is not None else (0.0,) * self.num_devices
         )
-
-        configs = self._device_configs(ctx)
-        if self.fleet is None:
-            limits = ctx.fpga.partition_limits(q)
-        else:
-            # Any partition may land on any card (including through
-            # failover), so Algorithm 2 runs against the tightest
-            # delta_S / delta_D across the fleet.
-            limits = PartitionLimits(
-                max_bytes=min(c.cst_budget_bytes(q) for c in configs),
-                max_degree=min(c.max_ports for c in configs),
-            )
-        if ledger is not None:
-            # Pre-shrink delta_S when any device's history shows
-            # residency faults: every partition may land on the
-            # degraded card, so the whole worklist gets shorter
-            # kernel residency (counts are delta_S-independent).
-            worst = min(
-                range(self.num_devices), key=ledger.delta_s_scale
-            )
-            limits = _ledger_scaled_limits(ctx, limits, worst)
-        work = partition_stage(
-            ctx, data, cst, plan, limits,
-            k_policy=self.k_policy, split_policy=ctx.split_policy,
-        )
-        stats = work.stats
-
-        devices = [
-            DeviceLoad(index=i, part=self._device_part(i))
-            for i in range(self.num_devices)
-        ]
 
         def placement_key(
             d: DeviceLoad, workload: float, part_bytes: int
@@ -330,19 +251,18 @@ class MultiFpgaRunner:
             target.num_csts += 1
             return target
 
-        with ctx.stage("schedule") as st:
-            # Queues of partition indices, one per device.
-            assignment: list[list[int]] = [[] for _ in devices]
-            for i in range(len(work.fpga_parts)):
-                assignment[assign(devices, i).index].append(i)
-            st.note(
-                num_devices=self.num_devices,
-                csts_per_device=tuple(d.num_csts for d in devices),
-            )
-            if self.fleet is not None:
-                st.note(fleet=tuple(s.part for s in self.fleet))
-            if ledger is not None:
-                st.note(device_penalties=penalties)
+        # Queues of partition indices, one per device.
+        assignment: list[list[int]] = [[] for _ in devices]
+        for i in range(len(work.fpga_parts)):
+            assignment[assign(devices, i).index].append(i)
+        st.note(
+            num_devices=self.num_devices,
+            csts_per_device=tuple(d.num_csts for d in devices),
+        )
+        if self.fleet is not None:
+            st.note(fleet=tuple(s.part for s in self.fleet))
+        if ledger is not None:
+            st.note(device_penalties=penalties)
 
         health = ctx.health
         fplan = ctx.fault_plan
@@ -373,194 +293,111 @@ class MultiFpgaRunner:
                 status = "ok"
             health.mark_device(device.index, status)
 
-        with ctx.stage("execute") as st:
-            if excluded:
-                # Partition independence (Definition 2) makes failover
-                # trivial: a dead device's queue redistributes to the
-                # survivors with minimum accumulated workload, exactly
-                # the Section VII-E assignment rule re-applied.
-                survivors = [
-                    d for d in devices if d.index not in excluded
-                ]
-                for device in devices:
-                    if device.index not in excluded:
-                        continue
-                    kind = (
-                        DEVICE_DEAD if device.index in dead
-                        else "breaker_open"
-                    )
-                    for i in assignment[device.index]:
-                        target = assign(survivors, i)
-                        assignment[target.index].append(i)
-                        health.record(FaultEvent(
-                            kind=kind,
-                            scope=("device", device.index),
-                            attempt=0,
-                            action="failover",
-                            device=target.index,
-                        ))
-                    assignment[device.index] = []
-                    device.workload = 0.0
-                    device.num_csts = 0
-            # Device queues are independent (Definition 2), so they
-            # dispatch as one task per device and merge back in
-            # device-index order.
-            exec_cfg = ctx.executor
-            active = [d for d in devices if assignment[d.index]]
-
-            # Crash safety: each completed device queue is one durable
-            # journal record; a resumed run replays finished devices
-            # and re-runs only the rest. The fingerprint additionally
-            # pins the placement (csts per device) and the dead set,
-            # both deterministic given the same ledger state — which a
-            # crash cannot have changed, since the ledger persists only
-            # at finish_run.
-            journal = ctx.journal
-            done: dict[int, tuple] = {}
-            if journal is not None:
-                fingerprint = run_fingerprint(
-                    ctx, plan, data, self.variant,
-                    (stats.num_partitions, 0, stats.total_bytes),
-                    exec_cfg.buffers, False,
-                    extra=(
-                        "multi", self.num_devices,
-                        tuple(d.num_csts for d in devices),
-                        tuple(sorted(excluded)),
-                        tuple(
-                            (s.part, repr(s.config)) for s in self.fleet
-                        ) if self.fleet is not None else None,
-                    ),
+        # Partition independence (Definition 2) makes failover trivial:
+        # an excluded device's queue redistributes to the survivors
+        # with minimum accumulated workload, exactly the Section VII-E
+        # assignment rule re-applied.
+        survivors = [d for d in devices if d.index not in excluded]
+        for device in devices:
+            if device.index not in excluded:
+                continue
+            kind = DEVICE_DEAD if device.index in dead else "breaker_open"
+            for i in assignment[device.index]:
+                target = assign(survivors, i)
+                assignment[target.index].append(i)
+                health.record(FaultEvent(
+                    kind=kind,
+                    scope=("device", device.index),
+                    attempt=0,
+                    action="failover",
+                    device=target.index,
+                ))
+            assignment[device.index] = []
+            device.workload = 0.0
+            device.num_csts = 0
+            if ctx.tracer.enabled:
+                ctx.tracer.instant(
+                    "faults", f"{kind}:failover", 0.0,
+                    clock=MODELED, device=device.index,
                 )
-                journal.ensure_header(
-                    fingerprint,
-                    backend="multi-fpga",
-                    num_devices=self.num_devices,
-                )
-                if journal.resume:
-                    active_idx = {d.index for d in active}
-                    for idx, rec in journal.device_records().items():
-                        if idx not in active_idx:
-                            continue
-                        done[idx] = (
-                            report_from_dict(rec["kernel"]),
-                            rec["pcie_seconds"],
-                            [(w, k) for w, k in rec["segments"]],
-                            rec["fetch_seconds"],
-                        )
-            resumed_devices = len(done)
-
-            pending = [d for d in active if d.index not in done]
-
-            tasks: list[Task] = [
-                (_run_device,
-                 (configs[d.index], self.variant,
-                  tuple(work.fpga_parts[i] for i in assignment[d.index]),
-                  plan.match_plan,
-                  q.num_vertices, ctx.tracer.enabled))
-                for d in pending
-            ]
-
-            def on_device_done(pos: int, result: tuple) -> None:
-                idx = pending[pos].index
-                done[idx] = result
-                if journal is not None:
-                    kernel, pcie, segments, fetch = result
-                    journal.append({
-                        "type": "device",
-                        "index": idx,
-                        "kernel": report_to_dict(kernel),
-                        "pcie_seconds": pcie,
-                        "segments": [[w, k] for w, k in segments],
-                        "fetch_seconds": fetch,
-                    })
-
-            dispatch_facts = dispatch_partitions(ctx, tasks, on_device_done)
-
-            tracer = ctx.tracer
-            device_seconds: list[float] = []
-            device_timelines: dict[str, float] = {}
-            for device in active:
-                kernel, pcie, segments, fetch = done[device.index]
-                device.kernel = kernel
-                device.pcie_seconds = pcie
-                # Each device's own double-buffered card schedule; the
-                # trace draws it one lane group per device, and the
-                # payload surfaces its completion time.
-                schedule = overlap_schedule(segments, exec_cfg.buffers)
-                timeline = schedule[-1][3] if schedule else 0.0
-                device_timelines[str(device.index)] = timeline
-                if exec_cfg.buffers <= 1:
-                    device_seconds.append(device.seconds)
-                else:
-                    # Each card overlaps its own transfers with its own
-                    # kernels; only the result fetch stays serial.
-                    device_seconds.append(timeline + fetch)
-                if tracer.enabled:
-                    # Emitted here, in device-index order after the
-                    # pool barrier — never from pool workers — so
-                    # modeled lanes stay deterministic at any workers.
-                    trace_device_lanes(
-                        tracer, device.index, schedule,
-                        kernel.module_spans,
-                        configs[device.index].clock_mhz,
-                        part=self._device_part(device.index),
-                    )
-                    if fetch:
-                        prefix = device_lane_prefix(
-                            device.index, self._device_part(device.index)
-                        )
-                        tracer.span(
-                            f"{prefix}/pcie", "fetch results",
-                            timeline, fetch, clock=MODELED,
-                        )
-            if tracer.enabled:
-                for idx in sorted(dead):
-                    tracer.instant(
-                        "faults", "device_dead:failover", 0.0,
-                        clock=MODELED, device=idx,
-                    )
-                for idx in sorted(opened):
-                    tracer.instant(
-                        "faults", "breaker_open:failover", 0.0,
-                        clock=MODELED, device=idx,
-                    )
-                if resumed_devices:
-                    tracer.count("journal_replays", resumed_devices)
-            makespan = max(device_seconds, default=0.0)
-            st.modeled_seconds += makespan
-            st.note(
-                makespan_seconds=makespan,
-                device_seconds=tuple(d.seconds for d in devices),
-                dead_devices=tuple(sorted(dead)),
-                breaker_open_devices=tuple(sorted(opened)),
-                workers=exec_cfg.workers,
-                buffers=exec_cfg.buffers,
-                overlap_timeline=device_timelines,
-                **dispatch_facts,
+        st.note(
+            dead_devices=tuple(sorted(dead)),
+            breaker_open_devices=tuple(sorted(opened)),
+        )
+        return tuple(
+            DeviceQueue(
+                index=d.index,
+                fpga=configs[d.index],
+                partitions=tuple(assignment[d.index]),
+                part=self._device_part(d.index),
             )
-            if journal is not None:
-                st.note(
-                    journaled=True,
-                    journal_path=str(journal.path),
-                    resumed_devices=resumed_devices,
-                )
+            for d in devices
+        )
 
-        with ctx.stage("merge") as st:
-            embeddings = sum(
-                d.kernel.embeddings for d in devices
-                if d.kernel is not None
+    def run(
+        self,
+        query: Graph | QueryGraph,
+        data: Graph,
+        order: tuple[int, ...] | None = None,
+    ) -> MultiFpgaResult:
+        """Match ``query`` using min-workload assignment of partitions."""
+        ctx = self._context()
+        ctx.begin_run("multi-fpga")
+
+        plan = plan_stage(ctx, query, data, order)
+        q = plan.query
+        cst = build_cst_stage(ctx, plan, data)
+
+        configs = self._device_configs(ctx)
+        if self.fleet is None:
+            limits = ctx.fpga.partition_limits(q)
+        else:
+            # Any partition may land on any card (including through
+            # failover), so Algorithm 2 runs against the tightest
+            # delta_S / delta_D across the fleet.
+            limits = PartitionLimits(
+                max_bytes=min(c.cst_budget_bytes(q) for c in configs),
+                max_degree=min(c.max_ports for c in configs),
             )
-            total_seconds = ctx.current_metrics.modeled_seconds
-            st.note(embeddings=embeddings, total_seconds=total_seconds)
+        ledger = ctx.health_ledger
+        if ledger is not None:
+            # Pre-shrink delta_S when any device's history shows
+            # residency faults: every partition may land on the
+            # degraded card, so the whole worklist gets shorter
+            # kernel residency (counts are delta_S-independent).
+            worst = min(
+                range(self.num_devices), key=ledger.delta_s_scale
+            )
+            limits = ledger_scaled_limits(ctx, limits, worst)
+        work = partition_stage(
+            ctx, data, cst, plan, limits,
+            k_policy=self.k_policy, split_policy=ctx.split_policy,
+        )
+        devices = [
+            DeviceLoad(index=i, part=self._device_part(i))
+            for i in range(self.num_devices)
+        ]
+        placement = schedule_stage(
+            ctx, work,
+            place=lambda st: self._place(ctx, work, configs, devices, st),
+        )
+        executed = execute_stage(
+            ctx, plan, work, data, self.variant,
+            limits=limits, placement=placement,
+        )
+        merged = merge_stage(ctx, executed)
         metrics = ctx.finish_run()
 
+        for run in executed.devices:
+            devices[run.index].kernel = run.kernel
+            devices[run.index].pcie_seconds = run.pcie_seconds
         return MultiFpgaResult(
-            embeddings=embeddings,
-            total_seconds=total_seconds,
+            embeddings=merged.embeddings,
+            total_seconds=merged.total_seconds,
             build_seconds=metrics.stages["build_cst"].modeled_seconds,
             partition_seconds=metrics.stages["partition"].modeled_seconds,
-            makespan_seconds=makespan,
+            makespan_seconds=executed.fpga_seconds,
             devices=devices,
-            num_partitions=stats.num_partitions,
+            num_partitions=work.stats.num_partitions,
             metrics=metrics,
         )

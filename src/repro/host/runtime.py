@@ -14,7 +14,8 @@ schedule -> execute -> merge`` — through a shared
    (Section V-B), with Algorithm 3's delta-threshold CPU/FPGA routing
    of each emitted partition; under the ``share`` variant the
    partitioner may hand whole oversized CSTs to the CPU (Section VII-B);
-4. **schedule**: record the CPU/FPGA split the routing arrived at;
+4. **schedule**: record the CPU/FPGA split the routing arrived at and
+   queue every FPGA partition on the one device;
 5. **execute**: the FAST kernel on every FPGA partition (over the
    modeled PCIe link) and the basic backtracking matcher on every CPU
    partition;
@@ -35,8 +36,6 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import DeviceError
 from repro.costs.cpu import CpuCostModel
-from repro.cst.partition import PartitionLimits
-from repro.cst.structure import ENTRY_BYTES
 from repro.fpga.config import FpgaConfig
 from repro.fpga.report import KernelReport
 from repro.graph.graph import Graph
@@ -45,6 +44,7 @@ from repro.runtime.context import RunContext, RunMetrics
 from repro.runtime.stages import (
     build_cst_stage,
     execute_stage,
+    ledger_scaled_limits,
     merge_stage,
     partition_stage,
     passthrough_partition_stage,
@@ -58,29 +58,6 @@ RUNNER_VARIANTS = ("dram", "basic", "task", "sep", "share")
 
 #: Registry backend name per runner variant.
 BACKEND_NAMES = {v: f"fast-{v}" for v in RUNNER_VARIANTS}
-
-
-def _ledger_scaled_limits(
-    ctx: RunContext, limits: PartitionLimits, device: int
-) -> PartitionLimits:
-    """Pre-shrink ``delta_S`` for a device the health ledger flags.
-
-    A device with a history of residency faults (kernel timeouts, BRAM
-    soft errors) gets smaller partitions up front — shorter kernel
-    residency per launch — instead of rediscovering the problem through
-    the degradation ladder every run. Counts are unaffected: partitions
-    stay complete search spaces at any ``delta_S``.
-    """
-    ledger = ctx.health_ledger
-    if ledger is None:
-        return limits
-    scale = ledger.delta_s_scale(device)
-    if scale >= 1.0:
-        return limits
-    return PartitionLimits(
-        max_bytes=max(int(limits.max_bytes * scale), ENTRY_BYTES),
-        max_degree=limits.max_degree,
-    )
 
 
 @dataclass
@@ -192,7 +169,7 @@ class FastRunner:
                 "sep" if self.variant == "share" else self.variant
             )
             limits = ctx.fpga.partition_limits(plan.query)
-            limits = _ledger_scaled_limits(ctx, limits, device=0)
+            limits = ledger_scaled_limits(ctx, limits, device=0)
             work = partition_stage(
                 ctx, data, cst, plan,
                 limits=limits,
@@ -200,7 +177,7 @@ class FastRunner:
                 split_policy=self.split_policy,
                 delta=self.delta if self.variant == "share" else 0.0,
             )
-        schedule_stage(ctx, work)
+        placement = schedule_stage(ctx, work)
 
         executed = execute_stage(
             ctx, plan, work, data, engine_variant,
@@ -208,6 +185,7 @@ class FastRunner:
             cpu_share_threads=self.cpu_share_threads,
             cpu_thread_efficiency=self.cpu_thread_efficiency,
             limits=limits,
+            placement=placement,
         )
         merged = merge_stage(ctx, executed, collect_results)
         metrics = ctx.finish_run()

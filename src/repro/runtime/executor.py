@@ -1,13 +1,15 @@
 """Overlapped, double-buffered partition execution.
 
-The execute stage used to walk FPGA partitions serially and charge
-``pcie + kernel`` as a flat sum. Section V-C of the paper instead
-overlaps the pieces: while partition *i* computes on the card, the
-host already streams partition *i + 1* over PCIe into a second on-card
-buffer. This module provides both halves of that design:
+Section V-C of the paper overlaps a device's transfers with its
+kernels: while partition *i* computes on the card, the host already
+streams partition *i + 1* over PCIe into a second on-card buffer. This
+module provides both halves of that design for
+:func:`repro.runtime.stages.execute_stage`, which is the one execute
+path for a single device and for a multi-FPGA pool alike:
 
 :func:`overlap_timeline`
-    The *modeled* double-buffered pipeline. Each partition is a
+    The *modeled* double-buffered pipeline of one device's queue
+    (a pool computes one timeline per device). Each partition is a
     ``(write_seconds, kernel_seconds)`` segment; with ``buffers``
     on-card staging buffers the timeline obeys
 
@@ -26,8 +28,8 @@ buffer. This module provides both halves of that design:
 
 :func:`dispatch_partitions`
     Real wall-clock concurrency for independent partition tasks (FPGA
-    kernel simulation and CPU-share host matching alike), shared by the
-    single-device execute stage and the multi-FPGA runner. With one
+    kernel simulation on any device of the run and CPU-share host
+    matching alike): one task per partition. With one
     worker (or one task) tasks run inline; otherwise they run on the
     context's warm supervised :class:`~repro.runtime.pool.WorkerPool`
     with every CST shipped over the shared-memory arena. Results are
@@ -207,15 +209,8 @@ def uses_pool(config: ExecutorConfig, num_tasks: int) -> bool:
 
 
 def _shared_arg(arena: Any, arg: Any) -> Any:
-    """``arg`` with any CST (or tuple of CSTs) swapped for descriptors."""
-    if isinstance(arg, CST):
-        return arena.descriptor_for(arg)
-    if (
-        isinstance(arg, tuple) and arg
-        and all(isinstance(part, CST) for part in arg)
-    ):
-        return tuple(arena.descriptor_for(part) for part in arg)
-    return arg
+    """``arg`` swapped for its arena descriptor if it is a CST."""
+    return arena.descriptor_for(arg) if isinstance(arg, CST) else arg
 
 
 def dispatch_partitions(
@@ -225,8 +220,7 @@ def dispatch_partitions(
 ) -> dict[str, Any]:
     """Run independent partition tasks; return the stage's dispatch facts.
 
-    ``tasks`` are ``(fn, args)`` pairs with plain CSTs (or tuples of
-    CSTs) in ``args``. ``on_result(index, result)`` fires in this
+    ``tasks`` are ``(fn, args)`` pairs with plain CSTs in ``args``. ``on_result(index, result)`` fires in this
     process as each task completes — in index order inline, in
     completion order on the pool — which is what the run journal hooks
     to persist outcomes the moment they exist.

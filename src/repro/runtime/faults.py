@@ -342,6 +342,10 @@ class SupervisorCore:
     cpu_cost: CpuCostModel
     avg_degree: float
     num_vertices: int
+    #: Pool index of the device the task runs on, stamped on its fault
+    #: events so the health ledger books them there; ``None`` on a
+    #: single-device run (the ledger reads that as device 0).
+    device: int | None = None
 
     @property
     def backoff_seed(self) -> int:

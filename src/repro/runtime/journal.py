@@ -436,10 +436,6 @@ class RunJournal:
         """Completed CPU-share records, by partition index."""
         return self._by_index("cpu")
 
-    def device_records(self) -> dict[int, dict[str, Any]]:
-        """Completed per-device records (multi-FPGA), by device index."""
-        return self._by_index("device")
-
     def ladder_records(self) -> dict[tuple, dict[str, Any]]:
         """Mid-ladder rung decisions, keyed by supervisor scope."""
         return {

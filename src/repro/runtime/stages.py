@@ -15,9 +15,11 @@ and annotated through the shared :class:`~repro.runtime.context.RunContext`:
     under the workload threshold ``delta``. Memoized per ``(data,
     query, order, delta_S, delta_D, policies, delta)``.
 ``schedule``
-    Record the CPU/FPGA split Algorithm 3 arrived at.
+    Record the CPU/FPGA split Algorithm 3 arrived at and place the
+    FPGA partitions on devices: one queue on the context's device, or
+    a caller's placement across a device pool (Section VII-E).
 ``execute``
-    FAST kernel over the FPGA partitions (over the modeled PCIe link)
+    FAST kernel over each device's queue (over its modeled PCIe link)
     plus the basic backtracking matcher over the CPU partitions.
 ``merge``
     Combine counts/result sets; end-to-end modeled time follows the
@@ -31,7 +33,7 @@ modeled number is independent of cache state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.common.errors import (
     PartitionError,
@@ -47,6 +49,7 @@ from repro.cst.partition import (
 )
 from repro.cst.structure import CST, CstDescriptor, ENTRY_BYTES
 from repro.cst.workload import estimate_workload
+from repro.fpga.config import FpgaConfig
 from repro.fpga.engine import FastEngine
 from repro.fpga.kernel import MatchPlan, build_plan
 from repro.fpga.report import KernelReport
@@ -57,7 +60,7 @@ from repro.host.scheduler import WorkloadScheduler
 from repro.query.ordering import path_based_order
 from repro.query.query_graph import QueryGraph, as_query
 from repro.query.spanning_tree import SpanningTree, build_bfs_tree, choose_root
-from repro.runtime.context import RunContext
+from repro.runtime.context import RunContext, StageMetrics
 from repro.runtime.executor import (
     PartitionOutcome,
     Task,
@@ -116,6 +119,33 @@ class ScheduledWork:
         return len(self.fpga_parts) + len(self.cpu_parts)
 
 
+@dataclass(frozen=True)
+class DeviceQueue:
+    """One device's share of the FPGA partitions: the output of the
+    ``schedule`` stage, one queue per device of the run."""
+
+    index: int
+    fpga: FpgaConfig
+    #: Indices into ``ScheduledWork.fpga_parts``, in launch order.
+    partitions: tuple[int, ...]
+    #: Catalog part name, labelling the device's trace lanes.
+    part: str | None = None
+
+
+@dataclass
+class DeviceRun:
+    """What one device's queue produced in the ``execute`` stage."""
+
+    index: int
+    kernel: KernelReport
+    #: Transfers of every launch (wasted attempts too) plus the fetch.
+    pcie_seconds: float
+    #: The device's FPGA-side modeled seconds (see ``execute_stage``).
+    seconds: float
+    #: Completion of the device's double-buffered card schedule.
+    timeline: float
+
+
 @dataclass
 class ExecuteOutcome:
     """Output of the ``execute`` stage.
@@ -127,6 +157,8 @@ class ExecuteOutcome:
     exactly zero when no fault plan is active.
     """
 
+    #: Every device's kernel reports merged (the one device's own
+    #: report on a single-device run).
     kernel: KernelReport
     cpu_embeddings: int = 0
     cpu_results: list[tuple[int, ...]] = field(default_factory=list)
@@ -134,12 +166,15 @@ class ExecuteOutcome:
     cpu_share_seconds: float = 0.0
     fault_overhead_seconds: float = 0.0
     fallback_seconds: float = 0.0
-    #: FPGA-side modeled seconds after the overlap timeline (equals
-    #: ``pcie + kernel + fault_overhead`` at ``buffers = 1``).
+    #: FPGA-side modeled seconds of the slowest device after its
+    #: overlap timeline (equals ``pcie + kernel + fault_overhead`` on
+    #: one device at ``buffers = 1``).
     fpga_seconds: float = 0.0
     #: How many partitions were replayed from a resume journal instead
     #: of executed (0 for fresh runs).
     resumed_partitions: int = 0
+    #: One entry per device that ran a queue, in placement order.
+    devices: list[DeviceRun] = field(default_factory=list)
 
 
 @dataclass
@@ -300,8 +335,43 @@ def partition_stage(
     return work
 
 
-def schedule_stage(ctx: RunContext, work: ScheduledWork) -> ScheduledWork:
-    """Record the CPU/FPGA workload split Algorithm 3 arrived at."""
+def ledger_scaled_limits(
+    ctx: RunContext, limits: PartitionLimits, device: int
+) -> PartitionLimits:
+    """Pre-shrink ``delta_S`` for a device the health ledger flags.
+
+    A device with a history of residency faults (kernel timeouts, BRAM
+    soft errors) gets smaller partitions up front — shorter kernel
+    residency per launch — instead of rediscovering the problem through
+    the degradation ladder every run. Counts are unaffected: partitions
+    stay complete search spaces at any ``delta_S``.
+    """
+    ledger = ctx.health_ledger
+    if ledger is None:
+        return limits
+    scale = ledger.delta_s_scale(device)
+    if scale >= 1.0:
+        return limits
+    return PartitionLimits(
+        max_bytes=max(int(limits.max_bytes * scale), ENTRY_BYTES),
+        max_degree=limits.max_degree,
+    )
+
+
+def schedule_stage(
+    ctx: RunContext,
+    work: ScheduledWork,
+    place: Callable[[StageMetrics], tuple[DeviceQueue, ...]] | None = None,
+) -> tuple[DeviceQueue, ...]:
+    """Record the CPU/FPGA workload split Algorithm 3 arrived at and
+    place the FPGA partitions on devices.
+
+    Without ``place`` every FPGA partition queues on the context's one
+    device, in partition order. A device pool passes its placement
+    rule as ``place``: it is called with the stage's metrics bucket
+    (to note its own facts) and returns one :class:`DeviceQueue` per
+    device of the pool.
+    """
     with ctx.stage("schedule") as st:
         st.note(
             cpu_csts=len(work.cpu_parts),
@@ -309,6 +379,8 @@ def schedule_stage(ctx: RunContext, work: ScheduledWork) -> ScheduledWork:
             cpu_workload_fraction=work.cpu_fraction,
             delta=work.delta,
         )
+        if place is not None:
+            return place(st)
         ledger = ctx.health_ledger
         if ledger is not None:
             # Single-device runs place all FPGA work on device 0; the
@@ -319,7 +391,16 @@ def schedule_stage(ctx: RunContext, work: ScheduledWork) -> ScheduledWork:
                 device_penalty=ledger.penalty(0),
                 delta_s_scale=ledger.delta_s_scale(0),
             )
-    return work
+    return _one_device(ctx, work)
+
+
+def _one_device(ctx: RunContext, work: ScheduledWork) -> tuple[DeviceQueue]:
+    """Every FPGA partition, in order, on the context's device."""
+    return (DeviceQueue(
+        index=0, fpga=ctx.fpga,
+        partitions=tuple(range(len(work.fpga_parts))),
+        part=ctx.device_part,
+    ),)
 
 
 def _attempt_partition(
@@ -392,6 +473,7 @@ def _attempt_partition(
             events.append(FaultEvent(
                 kind=exc.kind, scope=scope, attempt=attempt,
                 action="retry", backoff_seconds=backoff,
+                device=core.device,
             ))
             # Backoff is charged, not slept: it delays the modeled
             # FPGA-side critical path and is booked as stage wall time.
@@ -560,6 +642,7 @@ def _supervise_partition(
             out.events.append(FaultEvent(
                 kind=last_kind, scope=scope,
                 attempt=policy.max_retries, action="repartition",
+                device=core.device,
             ))
             host_cost = core.host_seconds(stats.total_bytes // ENTRY_BYTES)
             # Re-partitioning runs on the host, not the card: it is
@@ -574,10 +657,33 @@ def _supervise_partition(
         out.events.append(FaultEvent(
             kind=last_kind, scope=scope,
             attempt=policy.max_retries, action="cpu_fallback",
+            device=core.device,
         ))
         out.segments.append((pcie, overhead))
         out.fallbacks.append(_run_cpu_partition(cur, order))
     return out
+
+
+def _cpu_seconds(
+    ctx: RunContext,
+    counters: CpuMatchCounters,
+    data: Graph,
+    threads: int,
+    efficiency: float,
+) -> float:
+    """Modeled host seconds of basic-matcher work spread over
+    ``threads`` cores at ``efficiency`` (CPU share and fallback)."""
+    serial = ctx.cpu_cost.seconds(
+        OpCounters(
+            recursive_calls=counters.recursive_calls,
+            extensions=counters.extensions_generated,
+            edge_checks=counters.edge_checks,
+            embeddings=counters.embeddings,
+        ),
+        data.average_degree(),
+        data.num_vertices,
+    )
+    return serial / max(1.0, threads * efficiency)
 
 
 def execute_stage(
@@ -590,12 +696,20 @@ def execute_stage(
     cpu_share_threads: int = 8,
     cpu_thread_efficiency: float = 0.45,
     limits: PartitionLimits | None = None,
+    placement: Sequence[DeviceQueue] | None = None,
 ) -> ExecuteOutcome:
-    """Kernel over FPGA partitions + basic matcher over CPU partitions.
+    """Kernel over each device's queue + basic matcher over CPU partitions.
+
+    ``placement`` is the ``schedule`` stage's output: one
+    :class:`DeviceQueue` per device (``None`` queues every FPGA
+    partition on the context's one device). Every device runs its own
+    queue over its own PCIe link, so transfers, kernels, the result
+    fetch and the overlap timeline below are all per device.
 
     The stage's modeled time follows the Section V-C overlap rule:
-    ``max(cpu_share, fpga_side) + fallback``. With ``buffers = 1`` (the
-    default) the FPGA side is the flat serial sum
+    ``max(cpu_share, fpga_side) + fallback``, where the FPGA side is
+    the slowest device (Section VII-E's makespan). With ``buffers = 1``
+    (the default) a device's time is the flat serial sum
     ``pcie + kernel + fault_overhead``; with ``buffers >= 2`` it is the
     double-buffered pipeline of :func:`overlap_timeline`, where the
     transfer of partition *i* overlaps the kernels of the previous
@@ -607,8 +721,9 @@ def execute_stage(
     the health record do not depend on ``workers``.
 
     Every FPGA partition runs under a supervisor implementing the
-    degradation ladder (see docs/robustness.md); without a fault plan
-    on the context that is a single clean launch:
+    degradation ladder (see docs/robustness.md) with its device's
+    config; without a fault plan on the context that is a single clean
+    launch:
 
     1. transient faults retry under ``ctx.retry_policy`` (backoff
        charged to wall and modeled time);
@@ -622,6 +737,8 @@ def execute_stage(
     Recovery costs are charged as ``fault_overhead_seconds`` on the
     FPGA side of the overlap and ``fallback_seconds`` after it; both
     are exactly zero — and the arithmetic unchanged — without faults.
+    On a pool of several devices each fault event carries its device
+    index, so the health ledger books it on the card that ran it.
 
     With ``ctx.journal`` set, the stage is crash-safe: the journal
     header pins the run fingerprint and every completed partition is
@@ -632,7 +749,13 @@ def execute_stage(
     :class:`~repro.common.errors.JournalMismatchError` before any work
     runs.
     """
-    cfg = ctx.fpga
+    n_fpga = len(work.fpga_parts)
+    n_cpu = len(work.cpu_parts)
+    queues = (
+        tuple(placement) if placement is not None
+        else _one_device(ctx, work)
+    )
+    pooled = len(queues) > 1
     q = plan.query
     exec_cfg = ctx.executor
     journal = ctx.journal
@@ -640,28 +763,30 @@ def execute_stage(
         journal.ladder_records()
         if journal is not None and journal.resume else {}
     )
-    core = SupervisorCore(
-        fpga=cfg,
-        engine_variant=engine_variant,
-        retry_policy=ctx.retry_policy,
-        fault_plan=ctx.fault_plan,
-        seed=ctx.seed,
-        trace_modules=ctx.tracer.enabled,
-        cpu_cost=ctx.cpu_cost,
-        avg_degree=data.average_degree(),
-        num_vertices=data.num_vertices,
-    )
-    with ctx.stage("execute") as st:
-        link = PcieLink(cfg)
-        kernel_total = KernelReport(
-            variant=engine_variant, clock_mhz=cfg.clock_mhz
+    # One supervision core per device; every partition's task carries
+    # the core of the device it is queued on.
+    core_of: dict[int, SupervisorCore] = {}
+    for dq in queues:
+        core = SupervisorCore(
+            fpga=dq.fpga,
+            engine_variant=engine_variant,
+            retry_policy=ctx.retry_policy,
+            fault_plan=ctx.fault_plan,
+            seed=ctx.seed,
+            trace_modules=ctx.tracer.enabled,
+            cpu_cost=ctx.cpu_cost,
+            avg_degree=data.average_degree(),
+            num_vertices=data.num_vertices,
+            device=dq.index if pooled else None,
         )
-        if collect_results:
-            kernel_total.results = []
+        for i in dq.partitions:
+            core_of[i] = core
+    # A pooled device idles when its queue is empty; the one device of
+    # a single-device run always fetches results.
+    active = [dq for dq in queues if dq.partitions or not pooled]
+    with ctx.stage("execute") as st:
         health = ctx.health
         health.device_status.setdefault(0, "ok")
-        n_fpga = len(work.fpga_parts)
-        n_cpu = len(work.cpu_parts)
 
         # -- journal open / replay -------------------------------------
         outcomes: dict[int, PartitionOutcome] = {}
@@ -670,10 +795,18 @@ def execute_stage(
             total_bytes = sum(
                 p.size_bytes() for p in (*work.fpga_parts, *work.cpu_parts)
             )
+            # The placement joins the fingerprint wherever it is not
+            # simply everything on the context's device.
+            layout = ()
+            if pooled or queues[0].fpga != ctx.fpga:
+                layout = tuple(
+                    (dq.index, dq.part, repr(dq.fpga), dq.partitions)
+                    for dq in queues
+                )
             fingerprint = run_fingerprint(
                 ctx, plan, data, engine_variant,
                 (n_fpga, n_cpu, total_bytes),
-                exec_cfg.buffers, collect_results,
+                exec_cfg.buffers, collect_results, extra=layout,
             )
             journal.ensure_header(
                 fingerprint,
@@ -698,33 +831,41 @@ def execute_stage(
         resumed = len(outcomes) + len(cpu_done)
 
         # -- deadline cancellation points ------------------------------
-        # The budget is checked against the modeled cost of the
-        # *contiguous prefix* of completed FPGA partitions (flat
-        # pcie + kernel + fault overhead, on top of the modeled time
-        # of the earlier stages). Prefix costs are fixed by the
-        # worklist, not by completion order, so whether a run is
+        # The budget is checked against the modeled cost of each
+        # device's *contiguous prefix* of completed queue entries
+        # (flat pcie + kernel + fault overhead, on top of the modeled
+        # time of the earlier stages); the slowest device's prefix
+        # counts, as the makespan does. Prefix costs are fixed by the
+        # queues, not by completion order, so whether a run is
         # cancelled — though not which extra partitions the pool
         # happened to finish — is identical at any worker count.
         # Every checked outcome is already journaled, so a cancelled
         # run's journal resumes bit-identically.
         token = ctx.cancellation
         base_modeled = ctx.current_metrics.modeled_seconds
-        deadline_prefix = {"next": 0, "cost": base_modeled}
+        # Per active device: [queue position, base + prefix cost].
+        deadline_prefix = [[0, base_modeled] for _ in active]
 
         def check_deadline() -> None:
             if token is None:
                 return
-            while deadline_prefix["next"] in outcomes:
-                out = outcomes[deadline_prefix["next"]]
-                deadline_prefix["cost"] += (
-                    out.pcie_seconds
-                    + sum(r.seconds for r in out.reports)
-                    + out.overhead_seconds
-                )
-                deadline_prefix["next"] += 1
+            for dq, prefix in zip(active, deadline_prefix):
+                while (
+                    prefix[0] < len(dq.partitions)
+                    and dq.partitions[prefix[0]] in outcomes
+                ):
+                    out = outcomes[dq.partitions[prefix[0]]]
+                    prefix[1] += (
+                        out.pcie_seconds
+                        + sum(r.seconds for r in out.reports)
+                        + out.overhead_seconds
+                    )
+                    prefix[0] += 1
             token.check(
-                deadline_prefix["cost"],
-                f"execute partition prefix {deadline_prefix['next']}",
+                max((cost for _, cost in deadline_prefix),
+                    default=base_modeled),
+                "execute partition prefix "
+                f"{sum(done for done, _ in deadline_prefix)}",
             )
 
         check_deadline()  # a replayed prefix may already exceed it
@@ -748,8 +889,9 @@ def execute_stage(
         )
         tasks: list[Task] = [
             (_supervise_partition,
-             (core, plan.order, plan.match_plan, limits, collect_results,
-              ladder_replay, work.fpga_parts[i], i, journal_append))
+             (core_of[i], plan.order, plan.match_plan, limits,
+              collect_results, ladder_replay, work.fpga_parts[i], i,
+              journal_append))
             for i in pending_fpga
         ]
         tasks += [
@@ -787,22 +929,10 @@ def execute_stage(
         dispatch_facts = dispatch_partitions(ctx, tasks, on_done)
 
         # -- merge in partition-index order ----------------------------
-        pcie_seconds = 0.0
-        fault_overhead = 0.0
-        host_overhead = 0.0
         backoff_wall = 0.0
-        segments: list[tuple[float, float]] = []
-        first_segment: dict[int, int] = {}
         for i in range(n_fpga):
             out = outcomes[i]
-            for report in out.reports:
-                kernel_total.merge(report)
-            pcie_seconds += out.pcie_seconds
-            fault_overhead += out.overhead_seconds
-            host_overhead += out.host_overhead_seconds
             backoff_wall += out.backoff_wall_seconds
-            first_segment[i] = len(segments)
-            segments.extend(out.segments)
             for event in out.events:
                 health.record(event)
         # Backoff is charged, not slept: it is booked as stage wall
@@ -818,18 +948,8 @@ def execute_stage(
             cpu_embeddings += len(found)
             if collect_results:
                 cpu_results.extend(found)
-        cpu_share_serial = ctx.cpu_cost.seconds(
-            OpCounters(
-                recursive_calls=cpu_counters.recursive_calls,
-                extensions=cpu_counters.extensions_generated,
-                edge_checks=cpu_counters.edge_checks,
-                embeddings=cpu_counters.embeddings,
-            ),
-            data.average_degree(),
-            data.num_vertices,
-        )
-        cpu_share_seconds = cpu_share_serial / max(
-            1.0, cpu_share_threads * cpu_thread_efficiency
+        cpu_share_seconds = _cpu_seconds(
+            ctx, cpu_counters, data, cpu_share_threads, cpu_thread_efficiency
         )
 
         # Fallback partitions run on the host *after* their FPGA
@@ -845,72 +965,103 @@ def execute_stage(
                 cpu_embeddings += len(found)
                 if collect_results:
                     cpu_results.extend(found)
-        fallback_serial = ctx.cpu_cost.seconds(
-            OpCounters(
-                recursive_calls=fallback_counters.recursive_calls,
-                extensions=fallback_counters.extensions_generated,
-                edge_checks=fallback_counters.edge_checks,
-                embeddings=fallback_counters.embeddings,
-            ),
-            data.average_degree(),
-            data.num_vertices,
-        )
-        fallback_seconds = fallback_serial / max(
-            1.0, cpu_share_threads * cpu_thread_efficiency
+        fallback_seconds = _cpu_seconds(
+            ctx, fallback_counters, data,
+            cpu_share_threads, cpu_thread_efficiency,
         )
 
-        fetch_seconds = link.fetch_from_card(
-            kernel_total.embeddings * q.num_vertices * ENTRY_BYTES
-        )
-        pcie_seconds += fetch_seconds
-        schedule = overlap_schedule(segments, exec_cfg.buffers)
-        timeline = schedule[-1][3] if schedule else 0.0
-        if exec_cfg.buffers <= 1:
-            # The exact pre-pipeline arithmetic: a flat serial sum.
-            fpga_seconds = (
-                pcie_seconds + kernel_total.seconds + fault_overhead
+        # -- per device, in queue order --------------------------------
+        tracer = ctx.tracer
+        runs: list[DeviceRun] = []
+        card_schedules = []
+        fault_overhead = 0.0
+        for dq in active:
+            kernel = KernelReport(
+                variant=engine_variant, clock_mhz=dq.fpga.clock_mhz
             )
-        else:
-            # Double-buffered card timeline; host-side re-partition
-            # cost and the single result fetch cannot overlap kernels.
-            fpga_seconds = timeline + host_overhead + fetch_seconds
-
-        if ctx.tracer.enabled:
-            # All modeled lanes are emitted here, after the
-            # index-ordered merge, never from pool workers — the
-            # modeled half of a trace is deterministic at any
-            # ``workers`` (wall lanes are real time and are not).
-            tracer = ctx.tracer
-            trace_device_lanes(
-                tracer, 0, schedule, kernel_total.module_spans,
-                cfg.clock_mhz, part=ctx.device_part,
+            if collect_results:
+                kernel.results = []
+            pcie = overhead = host_overhead = 0.0
+            segments: list[tuple[float, float]] = []
+            first_segment: dict[int, int] = {}
+            for i in dq.partitions:
+                out = outcomes[i]
+                for report in out.reports:
+                    kernel.merge(report)
+                pcie += out.pcie_seconds
+                overhead += out.overhead_seconds
+                host_overhead += out.host_overhead_seconds
+                first_segment[i] = len(segments)
+                segments.extend(out.segments)
+            fetch = PcieLink(dq.fpga).fetch_from_card(
+                kernel.embeddings * q.num_vertices * ENTRY_BYTES
             )
-            if fetch_seconds:
-                tracer.span(
-                    f"{device_lane_prefix(0, ctx.device_part)}/pcie",
-                    "fetch results", timeline,
-                    fetch_seconds, clock=MODELED,
+            pcie += fetch
+            schedule = overlap_schedule(segments, exec_cfg.buffers)
+            timeline = schedule[-1][3] if schedule else 0.0
+            if exec_cfg.buffers <= 1:
+                # The exact pre-pipeline arithmetic: a flat serial sum.
+                seconds = pcie + kernel.seconds + overhead
+            else:
+                # Double-buffered card timeline; host-side re-partition
+                # cost and the single result fetch cannot overlap kernels.
+                seconds = timeline + host_overhead + fetch
+            fault_overhead += overhead
+            runs.append(DeviceRun(dq.index, kernel, pcie, seconds, timeline))
+            card_schedules.append(
+                (dq, schedule, first_segment, host_overhead, timeline)
+            )
+            if tracer.enabled:
+                # All modeled lanes are emitted here, after the
+                # index-ordered merge, never from pool workers — the
+                # modeled half of a trace is deterministic at any
+                # ``workers`` (wall lanes are real time and are not).
+                trace_device_lanes(
+                    tracer, dq.index, schedule, kernel.module_spans,
+                    dq.fpga.clock_mhz, part=dq.part,
                 )
+                if fetch:
+                    tracer.span(
+                        f"{device_lane_prefix(dq.index, dq.part)}/pcie",
+                        "fetch results", timeline, fetch, clock=MODELED,
+                    )
+        if pooled:
+            kernel_total = KernelReport(
+                variant=engine_variant, clock_mhz=ctx.fpga.clock_mhz
+            )
+            if collect_results:
+                kernel_total.results = []
+            for run in runs:
+                kernel_total.merge(run.kernel)
+        else:
+            kernel_total = runs[0].kernel
+        pcie_seconds = sum((run.pcie_seconds for run in runs), 0.0)
+        fpga_seconds = max((run.seconds for run in runs), default=0.0)
+
+        if tracer.enabled:
             if cpu_share_seconds:
                 tracer.span("host", "cpu share", 0.0,
                             cpu_share_seconds, clock=MODELED)
-            if host_overhead:
-                tracer.span("host", "repartition", timeline,
-                            host_overhead, clock=MODELED)
+            for _, _, _, host_overhead, timeline in card_schedules:
+                if host_overhead:
+                    tracer.span("host", "repartition", timeline,
+                                host_overhead, clock=MODELED)
             if fallback_seconds:
                 tracer.span(
                     "host", "cpu fallback",
                     max(cpu_share_seconds, fpga_seconds),
                     fallback_seconds, clock=MODELED,
                 )
-            for i in range(n_fpga):
-                seg = first_segment[i]
-                at = schedule[seg][0] if seg < len(schedule) else timeline
-                for event in outcomes[i].events:
-                    tracer.instant(
-                        "faults", f"{event.kind}:{event.action}", at,
-                        clock=MODELED, partition=i, attempt=event.attempt,
-                    )
+            for dq, schedule, first_segment, _, timeline in card_schedules:
+                for i in dq.partitions:
+                    seg = first_segment[i]
+                    at = schedule[seg][0] if seg < len(schedule) else timeline
+                    for event in outcomes[i].events:
+                        tracer.instant(
+                            "faults", f"{event.kind}:{event.action}", at,
+                            clock=MODELED, partition=i,
+                            attempt=event.attempt,
+                        )
             if resumed:
                 tracer.count("journal_replays", resumed)
 
@@ -918,8 +1069,11 @@ def execute_stage(
             max(cpu_share_seconds, fpga_seconds) + fallback_seconds
         )
         st.note(
-            overlap_timeline=timeline,
-            kernel_seconds=kernel_total.seconds,
+            overlap_timeline=(
+                {str(run.index): run.timeline for run in runs}
+                if pooled else runs[0].timeline
+            ),
+            kernel_seconds=sum((run.kernel.seconds for run in runs), 0.0),
             pcie_seconds=pcie_seconds,
             cpu_share_seconds=cpu_share_seconds,
             fpga_seconds=fpga_seconds,
@@ -936,6 +1090,10 @@ def execute_stage(
             buffers=exec_cfg.buffers,
             **dispatch_facts,
         )
+        if pooled:
+            st.note(device_seconds={
+                str(run.index): run.seconds for run in runs
+            })
         if journal is not None:
             st.note(
                 journaled=True,
@@ -952,6 +1110,7 @@ def execute_stage(
         fallback_seconds=fallback_seconds,
         fpga_seconds=fpga_seconds,
         resumed_partitions=resumed,
+        devices=runs,
     )
 
 

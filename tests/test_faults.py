@@ -26,6 +26,7 @@ from repro.runtime.faults import (
     HealthReport,
     RetryPolicy,
 )
+from repro.runtime.journal import DeviceHealthLedger
 from repro.runtime.registry import REGISTRY
 
 FAST_VARIANTS = (
@@ -220,16 +221,35 @@ class TestDeterminism:
         assert len(logs) > 1
 
     def test_retries_accounted(self, dataset):
-        plan = FaultPlan(seed=3, rates={"pcie_error": 0.6})
-        out = run_backend("fast-sep", dataset, "q2", fpga=STRESS_FPGA,
-                          fault_plan=plan)
-        health = out.health
-        retry_events = [e for e in health["fault_events"]
-                        if e["action"] == "retry"]
-        assert health["retries"] == len(retry_events)
-        assert health["backoff_seconds"] == pytest.approx(
-            sum(e["backoff_seconds"] for e in health["fault_events"])
-        )
+        for backend, rates in (
+            ("fast-sep", {"pcie_error": 0.6}),
+            # Every launch of a two-device pool times out once or
+            # twice: each device's queue runs the ladder, and the ledger
+            # books every fault on the device that ran the partition.
+            ("multi-fpga", {"kernel_timeout": 1.0}),
+        ):
+            baseline = run_backend(backend, dataset, "q2",
+                                   fpga=STRESS_FPGA)
+            plan = FaultPlan(seed=3, rates=rates)
+            out = run_backend(backend, dataset, "q2", fpga=STRESS_FPGA,
+                              fault_plan=plan)
+            assert out.embeddings == baseline.embeddings, backend
+            health = out.health
+            retry_events = [e for e in health["fault_events"]
+                            if e["action"] == "retry"]
+            assert health["retries"] == len(retry_events) > 0, backend
+            assert health["backoff_seconds"] == pytest.approx(
+                sum(e["backoff_seconds"] for e in health["fault_events"])
+            )
+            ledger = DeviceHealthLedger()
+            ledger.record_metrics(out.raw.metrics)
+            faults = {
+                index: sum(stats.faults.values())
+                for index, stats in ledger.devices.items()
+            }
+            assert sum(faults.values()) == len(health["fault_events"])
+            launched = {i for i, s in ledger.devices.items() if s.launches}
+            assert {i for i, n in faults.items() if n} == launched, backend
 
 
 class TestMultiFpgaFailover:

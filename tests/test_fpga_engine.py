@@ -12,7 +12,6 @@ from repro.baselines.reference import (
 )
 from repro.common.errors import DeviceError
 from repro.cst.builder import build_cst
-from repro.cst.partition import partition_to_list
 from repro.fpga.config import FpgaConfig
 from repro.fpga.cycles import l_basic, l_sep, l_task
 from repro.fpga.engine import VARIANTS, FastEngine
@@ -47,24 +46,6 @@ class TestExactness:
             order = random_connected_order(q.graph, seed=seed)
             rep = FastEngine().run(cst, order)
             assert rep.embeddings == ref, order
-
-    def test_run_many_merges(self, micro_graph):
-        q = get_query("q5")
-        cst = build_cst(q.graph, micro_graph)
-        order = path_based_order(cst.tree, micro_graph)
-        cfg = FpgaConfig()
-        from repro.cst.partition import PartitionLimits
-        limits = PartitionLimits(
-            max_bytes=max(512, cst.size_bytes() // 5),
-            max_degree=max(4, cst.max_candidate_degree() // 2),
-        )
-        parts, _ = partition_to_list(cst, order, limits)
-        assert len(parts) > 1
-        rep = FastEngine(cfg).run_many(parts, order)
-        assert rep.embeddings == count_reference_embeddings(
-            q.graph, micro_graph
-        )
-        assert rep.num_csts == len(parts)
 
     def test_empty_cst(self):
         from repro.graph.graph import Graph

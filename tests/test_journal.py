@@ -18,14 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import JournalError, JournalMismatchError
+from repro.common.errors import (
+    DeadlineExceededError,
+    JournalError,
+    JournalMismatchError,
+)
 from repro.common.io import atomic_write_json, read_jsonl
 from repro.fpga.config import FpgaConfig
 from repro.fpga.report import KernelReport
 from repro.host.cpu_matcher import CpuMatchCounters
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import get_query
-from repro.runtime.context import RunContext, StageCache
+from repro.runtime.context import CancellationToken, RunContext, StageCache
 from repro.runtime.executor import ExecutorConfig, PartitionOutcome
 from repro.runtime.faults import FaultEvent, FaultPlan, HealthReport
 from repro.runtime.journal import (
@@ -262,8 +266,7 @@ def strip_wall(metrics_dict):
             return {
                 k: clean(v) for k, v in obj.items()
                 if k not in ("wall_seconds", "journaled", "journal_path",
-                             "resumed_partitions", "resumed_devices",
-                             "pool_chunks")
+                             "resumed_partitions", "pool_chunks")
             }
         return obj
 
@@ -346,7 +349,7 @@ class TestResumeEquivalence:
         _, ctx = run_backend("multi-fpga", dataset, fpga=STRESS_FPGA,
                              journal=RunJournal(path))
         ctx.journal.close()
-        truncate_journal(path, 1)  # one device queue survived the crash
+        truncate_journal(path, 2)  # two partitions survived the crash
         resumed, rctx = run_backend(
             "multi-fpga", dataset, fpga=STRESS_FPGA,
             journal=RunJournal(path, resume=True),
@@ -354,8 +357,41 @@ class TestResumeEquivalence:
         rctx.journal.close()
         assert resumed.embeddings == baseline.embeddings
         assert resumed.seconds == baseline.seconds
+        assert strip_wall(resumed.metrics) == strip_wall(baseline.metrics)
         execute = resumed.metrics["stages"]["execute"]
-        assert execute["resumed_devices"] == 1
+        assert execute["resumed_partitions"] == 2
+
+        # The slowest device's prefix is what a deadline is checked
+        # against, not the sum over devices: a budget just above the
+        # modeled total lets the run finish.
+        done, _ = run_backend(
+            "multi-fpga", dataset, fpga=STRESS_FPGA,
+            cancellation=CancellationToken(baseline.seconds * 1.001),
+        )
+        assert done.seconds == baseline.seconds
+
+        # A deadline halfway through the slowest device's queue cancels
+        # mid-execute with the completed partitions journaled; resuming
+        # without it finishes the run bit-identically.
+        budget = (baseline.seconds
+                  - baseline.metrics["stages"]["execute"]["modeled_seconds"]
+                  / 2)
+        cut = RunJournal(tmp_path / "deadline.jsonl")
+        with pytest.raises(DeadlineExceededError, match="execute"):
+            run_backend("multi-fpga", dataset, fpga=STRESS_FPGA,
+                        journal=cut,
+                        cancellation=CancellationToken(budget))
+        cut.close()
+        journaled = len(read_jsonl(cut.path)) - 1
+        assert 0 < journaled < execute["num_csts"]
+        resumed, rctx = run_backend(
+            "multi-fpga", dataset, fpga=STRESS_FPGA,
+            journal=RunJournal(cut.path, resume=True),
+        )
+        rctx.journal.close()
+        assert strip_wall(resumed.metrics) == strip_wall(baseline.metrics)
+        assert (resumed.metrics["stages"]["execute"]["resumed_partitions"]
+                == journaled)
 
 
 # ----------------------------------------------------------------------

@@ -86,19 +86,19 @@ class TestMultiFpga:
         )
         assert result.load_imbalance >= 1.0
 
-    def test_one_live_device_forks_no_pool(self, micro_graph,
-                                           small_device):
-        """One device queue left to run is one task: it runs inline,
-        and no pool workers are forked for it."""
-        ctx = make_context(HarnessConfig(
-            fpga=small_device, workers=4, pool="process",
-        ))
+    def test_one_live_device_forks_no_pool(self, micro_graph):
+        """Every partition is one task, wherever it is placed: the one
+        partition of a run whose other device is dead is a single task,
+        so it runs inline and no pool workers are forked for it."""
+        ctx = make_context(HarnessConfig(workers=4, pool="process"))
         ctx.fault_plan = FaultPlan(rates={}, dead_devices={1})
         try:
             result = MultiFpgaRunner(num_devices=2, context=ctx).run(
                 get_query("q6").graph, micro_graph
             )
             assert result.degraded
+            assert result.num_partitions == 1
+            assert result.devices[0].num_csts == 1
             assert ctx.worker_pool is None
             assert result.metrics.stages["execute"].extra["pool"] == (
                 "inline"

@@ -1,4 +1,4 @@
-"""Byte-identity digests of the partition stage's output.
+"""Byte-identity digests of the partition stage and of what runs on it.
 
 ``partition_stage`` runs Algorithm 2 and routes every emitted
 partition through Algorithm 3. These tests pin a SHA-256 digest of
@@ -8,6 +8,13 @@ candidate sets, adjacency CSR arrays, modeled sizes and the
 policies. A refactor of the stage, or of its stage-cache memoization,
 must reproduce every byte on a cold run and on a warm (cached) rerun
 over the same context.
+
+Two more digest families pin the modeled clock downstream of it: every
+:class:`KernelReport` a FAST-SHARE run launches on the same grid, and
+fault-free multi-FPGA runs (identical pools, a heterogeneous fleet,
+``buffers`` 1 and 2, and a dead-device failover), each over the
+embeddings, modeled total, makespan, every device's kernel report and
+PCIe seconds, and the health record.
 """
 
 from __future__ import annotations
@@ -23,8 +30,13 @@ import pytest
 import repro.host.runtime as host_runtime
 from repro.experiments.harness import HarnessConfig, make_context, tight_config
 from repro.fpga.config import FpgaConfig
+from repro.fpga.engine import FastEngine
+from repro.host.multi_fpga import MultiFpgaRunner
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import get_query
+from repro.runtime.context import RunContext
+from repro.runtime.executor import ExecutorConfig
+from repro.runtime.faults import FAULT_KINDS, FaultPlan
 from repro.runtime.registry import REGISTRY
 from repro.runtime.stages import build_cst_stage, partition_stage, plan_stage
 
@@ -120,6 +132,128 @@ def test_partition_stage_digest(case, graphs, monkeypatch):
             work_digest(captured[-1], outcome.metrics["stages"]["plan"]["order"])
         )
     assert digests == [DIGESTS[case]] * 2
+
+
+#: Same grid -> digest of every kernel report, in launch order.
+KERNEL_DIGESTS = {
+    ("DG-MINI", "q1", "shatter", 0.1, "order"):
+        "d50c03f8e2622408e11e5b58ce47de79c13e9996daf01e1339f4def7e6ea6964",
+    ("DG-MINI", "q1", "shatter", 0.1, "degree"):
+        "6959359763ac3a8a31a6b85f9e1b8b50a2b020d1346c0f2101113bfd03ad2770",
+    ("DG-MINI", "q1", "shatter", 0.0, "order"):
+        "541cc91a39d6c90460b743b6431c254459e4675eda744b88df669d7c7cabdd03",
+    ("DG-MINI", "q1", "shatter", 0.0, "degree"):
+        "f0849f91ec363d0924f3e32ea192bf59a1c078a545201e279d0a340d67f873df",
+    ("DG-MINI", "q5", "tight", 0.1, "order"):
+        "bee59d5018b034e660ba5a8574e3f898b7caa4f17f8e1f5cc61f1d18a54dbfdd",
+    ("DG-MINI", "q5", "tight", 0.1, "degree"):
+        "085971fca4bf38306ab756b51afb000b4e4e088508aea4586f932993ec23e158",
+    ("DG-MINI", "q5", "tight", 0.0, "order"):
+        "cd1b8dff288137a1763810ab23b83bcdc1318307e87e783c0cc90cc4fba93731",
+    ("DG-MINI", "q5", "tight", 0.0, "degree"):
+        "085971fca4bf38306ab756b51afb000b4e4e088508aea4586f932993ec23e158",
+    ("DG-SMALL", "q0", "tight", 0.1, "order"):
+        "37f3719f2c676480b845e93927f8cb9484d720e251347f34a76e70ce36dc70d8",
+    ("DG-SMALL", "q0", "tight", 0.1, "degree"):
+        "c76bf42aaab1e4e343002444b5fa6e6dfc090d5292ef1c985015d121051e3c2b",
+    ("DG-SMALL", "q0", "tight", 0.0, "order"):
+        "39750ba0c227a2b0cd5be1d22e36f8ca5bd2246152bc1b3f84546abddce99c05",
+    ("DG-SMALL", "q0", "tight", 0.0, "degree"):
+        "5c29ce3b0dc9ad8618f92da24268e8f652d7a95c00f53b8db2233639d66d8ef8",
+}
+
+
+def report_items(report) -> str:
+    """Every field of a kernel report, with dict keys in sorted order."""
+    fields = dataclasses.asdict(report)
+    fields["buffer_peaks"] = sorted(fields["buffer_peaks"].items())
+    return repr(sorted(fields.items()))
+
+
+@pytest.mark.parametrize(
+    "case", list(KERNEL_DIGESTS), ids=lambda c: "-".join(map(str, c))
+)
+def test_kernel_report_digest(case, graphs, monkeypatch):
+    dataset, query, device, delta, split_policy = case
+    reports = []
+    launch = FastEngine.run
+
+    def capture(self, *args, **kwargs):
+        report = launch(self, *args, **kwargs)
+        reports.append(report_items(report))
+        return report
+
+    monkeypatch.setattr(FastEngine, "run", capture)
+    ctx = make_context(HarnessConfig(
+        fpga=DEVICES[device], delta=delta, split_policy=split_policy,
+    ))
+    REGISTRY.run("fast-share", get_query(query).graph, graphs[dataset],
+                 ctx=ctx)
+    assert reports
+    digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
+    assert digest == KERNEL_DIGESTS[case]
+
+
+#: Fault-free multi-FPGA runs of DG-MINI/q1: case -> (runner and
+#: context arguments, digest).
+MULTI_CASES = {
+    "tight-x2": (dict(num_devices=2), {}),
+    "tight-x4": (dict(num_devices=4), {}),
+    "fleet": (dict(fleet="u200,u280x2"), {}),
+    "tight-x3-buffers1": (
+        dict(num_devices=3), dict(executor=ExecutorConfig(buffers=1)),
+    ),
+    "tight-x3-buffers2": (
+        dict(num_devices=3), dict(executor=ExecutorConfig(buffers=2)),
+    ),
+    "tight-x3-dead0": (
+        dict(num_devices=3),
+        dict(fault_plan=FaultPlan(
+            seed=1, rates={k: 0.0 for k in FAULT_KINDS},
+            dead_devices={0},
+        )),
+    ),
+}
+MULTI_DIGESTS = {
+    "tight-x2":
+        "4cba9fec1f6e0104598ee1996a61e16eb9bf75621be303b297bc1d650f11fe3c",
+    "tight-x4":
+        "94dd2e91fcd70f9dc4fb925677bb1de759895ee0dd6b882c2edd57a2abe21f91",
+    "fleet":
+        "7ba5059b4657be133bd87b306d88ec65cf86a96ddcad6d2bd2f26a2ec82cf8b0",
+    "tight-x3-buffers1":
+        "24f83577d993f50b1f0fb044c81cc05d6b41527e36b33ebd42e542f94901a956",
+    "tight-x3-buffers2":
+        "2156838167531c628e58e5f62cf3f5cf2db9fcff464cb1b61edcd940148d17af",
+    "tight-x3-dead0":
+        "01e972cc950c263edad9bc8ac285c6d05237b2b25a00033233e4da6d75a522ec",
+}
+
+
+def multi_digest(result) -> str:
+    """SHA-256 over a multi-FPGA run's modeled outcome."""
+    h = hashlib.sha256()
+    h.update(repr((
+        result.embeddings, result.total_seconds, result.makespan_seconds,
+    )).encode())
+    for device in result.devices:
+        h.update(repr((
+            device.index, device.part, device.num_csts, device.pcie_seconds,
+        )).encode())
+        if device.kernel is not None:
+            h.update(report_items(device.kernel).encode())
+    h.update(repr(result.metrics.health.to_dict()).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(MULTI_CASES))
+def test_multi_fpga_digest(case, graphs):
+    runner_kwargs, ctx_kwargs = MULTI_CASES[case]
+    fpga = FpgaConfig() if "fleet" in runner_kwargs else TIGHT
+    ctx = RunContext(fpga=fpga, **ctx_kwargs)
+    runner = MultiFpgaRunner(config=fpga, context=ctx, **runner_kwargs)
+    result = runner.run(get_query("q1").graph, graphs["DG-MINI"])
+    assert multi_digest(result) == MULTI_DIGESTS[case]
 
 
 def test_partitions_freed_without_gc(graphs):
