@@ -22,6 +22,8 @@ cycles for each round from the measured batch shape:
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.common.errors import DeviceError
@@ -30,11 +32,17 @@ from repro.fpga.config import FpgaConfig
 from repro.fpga.kernel import (
     DepthBuffer,
     MatchPlan,
+    RoundBatch,
+    SlotBuffers,
+    StackedCSTs,
     build_plan,
     edge_validate,
     expand_root,
+    expand_root_many,
     generate,
+    generate_many,
     synchronize,
+    validate_many,
     visited_validate,
 )
 from repro.fpga.pipeline import chained, overlapped, pipelined_cycles
@@ -42,6 +50,18 @@ from repro.fpga.report import KernelReport
 
 #: Recognised engine variants, in the paper's optimisation order.
 VARIANTS = ("dram", "basic", "task", "sep")
+
+#: Host memory one :meth:`FastEngine.run_many` window may give its
+#: depth-buffer slots; larger queues advance in several windows. The
+#: per-pass batch arrays scale with the window too, so this bounds the
+#: lockstep's whole footprint (DG-MINI/q1 on a 4 KB device: peak RSS
+#: +2 % over single launches at 1 MiB, +6 % in one window).
+SLOT_BYTES_PER_WINDOW = 1 << 20
+#: Once this few partitions of a lockstep window are unfinished, they
+#: run to completion one by one in the scalar machine. So few rarely
+#: share a step, and a one-member pass costs more host time than a
+#: scalar round (measured in CHANGES.md).
+SCALAR_TAIL = 4
 
 
 class FastEngine:
@@ -81,67 +101,25 @@ class FastEngine:
             if order is None:
                 order = tuple(cst.tree.bfs_order)
             plan = build_plan(cst.query, order)
-        report = KernelReport(variant=self.variant, clock_mhz=cfg.clock_mhz)
-        report.num_csts = 1
-        if collect_results:
-            report.results = []
-        trace = self.trace_modules
-        cursor = 0.0
-        if trace:
-            report.module_spans = []
+        report = self._new_report(collect_results)
         if cst.is_empty():
             return report
-
-        if self.variant != "dram":
-            report.load_cycles += cfg.load_cycles(cst.size_bytes())
-            if trace and report.load_cycles:
-                report.module_spans.append(
-                    ("load", 0.0, float(report.load_cycles))
-                )
-                cursor = float(report.load_cycles)
+        trace = self.trace_modules
+        cursor = self._charge_load(report, cst)
 
         n_steps = plan.num_steps
         buffers = [
             DepthBuffer(depth, cfg.batch_size) for depth in range(n_steps)
         ]  # buffers[d] holds partials with d matched vertices (d >= 1)
-        root_cursor = 0
-        root_total = cst.candidate_count(plan.order[0])
-        rank_order = plan.order
-
-        while True:
-            # Deepest-first: find the deepest non-empty buffer.
-            step = -1
-            for d in range(n_steps - 1, 0, -1):
-                if not buffers[d].is_empty:
-                    step = d
-                    break
-            if step == -1:
-                if root_cursor >= root_total:
-                    break
-                batch, root_cursor = expand_root(
-                    cst, plan, root_cursor, cfg.batch_size
-                )
-            else:
-                batch = generate(cst, plan, buffers[step], step,
-                                 cfg.batch_size)
-
-            bv = visited_validate(batch)
-            bn = edge_validate(cst, plan, batch)
-            pos, ids = synchronize(batch, bv, bn)
-
+        for batch, pos, ids in self._rounds(cst, plan, buffers, 0):
             flush_before = report.flush_cycles
-            depth = batch.step + 1
-            if depth == n_steps:
+            if batch.step + 1 == n_steps:
                 report.embeddings += len(pos)
                 if collect_results:
-                    report.results.extend(
-                        _to_query_indexed(ids, rank_order)
-                    )
+                    report.results.extend(_to_query_indexed(ids, plan.order))
                 report.flush_cycles += cfg.flush_cycles(
-                    len(pos) * depth * 4
+                    len(pos) * n_steps * 4
                 )
-            elif len(pos):
-                buffers[depth].fill(pos, ids)
 
             report.rounds += 1
             report.total_partials += batch.n_new
@@ -149,27 +127,11 @@ class FastEngine:
             report.total_pops += batch.n_consumed
             checks = plan.tasks_per_partial(batch.step)
             if trace:
-                stages = self._stage_cycles(
-                    batch.n_consumed, batch.n_new, batch.n_tasks, checks
+                round_cycles, cursor = self._trace_round(
+                    report.module_spans, cursor, batch.n_consumed,
+                    batch.n_new, batch.n_tasks, checks,
+                    report.flush_cycles - flush_before,
                 )
-                round_cycles = self._CYCLE_MODELS[self.variant](
-                    self, stages, batch.n_consumed, batch.n_new,
-                    batch.n_tasks,
-                )
-                for lane, rel_start, rel_end in self._module_offsets(
-                    stages, batch.n_consumed, batch.n_new, batch.n_tasks
-                ):
-                    if rel_end > rel_start:
-                        report.module_spans.append(
-                            (lane, cursor + rel_start, cursor + rel_end)
-                        )
-                cursor += round_cycles
-                flush_delta = report.flush_cycles - flush_before
-                if flush_delta:
-                    report.module_spans.append(
-                        ("flush", cursor, cursor + flush_delta)
-                    )
-                    cursor += flush_delta
             else:
                 round_cycles = self._round_cycles(
                     batch.n_consumed, batch.n_new, batch.n_tasks, checks
@@ -179,6 +141,280 @@ class FastEngine:
         report.buffer_peaks = {
             d: buffers[d].peak for d in range(1, n_steps)
         }
+        self._charge_slr(report, cst, cursor)
+        return report
+
+    def _rounds(
+        self, cst: CST, plan: MatchPlan, buffers: list[DepthBuffer],
+        root_cursor: int,
+    ) -> Iterator[tuple[RoundBatch, np.ndarray, np.ndarray]]:
+        """The deepest-first buffer machine of Section VI-B on one CST.
+
+        Each kernel round expands the deepest non-empty buffer (or
+        streams the next root candidates once all are drained), then
+        runs the validators and the synchronizer. Yields the round's
+        batch and surviving ``(pos, ids)``; survivors short of a full
+        embedding are already in the next depth buffer.
+        """
+        budget = self.config.batch_size
+        n_steps = plan.num_steps
+        root_total = cst.candidate_count(plan.order[0])
+        while True:
+            step = -1
+            for d in range(n_steps - 1, 0, -1):
+                if not buffers[d].is_empty:
+                    step = d
+                    break
+            if step == -1:
+                if root_cursor >= root_total:
+                    return
+                batch, root_cursor = expand_root(
+                    cst, plan, root_cursor, budget
+                )
+            else:
+                batch = generate(cst, plan, buffers[step], step, budget)
+
+            bv = visited_validate(batch)
+            bn = edge_validate(cst, plan, batch)
+            pos, ids = synchronize(batch, bv, bn)
+            depth = batch.step + 1
+            if depth < n_steps and len(pos):
+                buffers[depth].fill(pos, ids)
+            yield batch, pos, ids
+
+    def run_many(
+        self,
+        parts: list[CST],
+        plan: MatchPlan,
+        collect_results: bool = False,
+    ) -> list[KernelReport]:
+        """Match many CSTs of one query in lockstep; one report each.
+
+        Every partition runs its own deepest-first buffer machine, and
+        the machines advance together: each global round makes one
+        kernel round of every unfinished partition, with one numpy pass
+        per group of partitions at the same step over their stacked
+        arrays (see :class:`~repro.fpga.kernel.StackedCSTs`). Each
+        partition keeps its own ``N_o`` budget, cursors and fixed
+        buffer slots, so every report equals ``run(part, plan=plan)``
+        field for field: cycles, N, M, pops, buffer peaks, SLR
+        crossing, results and module spans. Only host wall time
+        changes. Empty CSTs get the empty report ``run`` returns.
+        """
+        reports = [self._new_report(collect_results) for _ in parts]
+        live = [i for i, part in enumerate(parts) if not part.is_empty()]
+        n = plan.num_steps
+        slot_bytes = 16 * self.config.batch_size * n * (n - 1) // 2
+        window = max(1, SLOT_BYTES_PER_WINDOW // max(1, slot_bytes))
+        for start in range(0, len(live), window):
+            chunk = live[start:start + window]
+            self._lockstep([parts[i] for i in chunk], plan,
+                           [reports[i] for i in chunk])
+        return reports
+
+    def _lockstep(self, parts: list[CST], plan: MatchPlan,
+                  reports: list[KernelReport]) -> None:
+        """Advance non-empty ``parts`` together; fill their reports."""
+        budget = self.config.batch_size
+        n_steps = plan.num_steps
+        stacked = StackedCSTs(parts, plan)
+        bufs = SlotBuffers(len(parts), n_steps, budget,
+                           np.diff(stacked.offsets[plan.order[0]]))
+        # Per pass: partitions, steps, pops, new partials and completed
+        # embeddings, one entry per (partition, round) in round order.
+        log: list[tuple[np.ndarray, ...]] = []
+        # Per pass that completes embeddings: partition and ids rows.
+        finals: list[tuple[np.ndarray, np.ndarray]] = []
+        active = np.arange(len(parts))
+        while True:
+            nonempty = bufs.remaining[:, active] > 0
+            running = nonempty.any(axis=0)
+            if not running.all():
+                active = active[running]
+                nonempty = nonempty[:, running]
+            if len(active) <= SCALAR_TAIL:
+                for p in active.tolist():
+                    self._finish_alone(parts, plan, stacked, bufs, p,
+                                       log, finals)
+                break
+            # Deepest-first: each partition's deepest non-empty buffer,
+            # or its root stream (row 0) once every buffer is drained.
+            steps = n_steps - 1 - np.argmax(nonempty[::-1], axis=0)
+            for step in sorted(set(steps.tolist())):
+                group = active[steps == step]
+                if step == 0:
+                    batch = expand_root_many(stacked, plan, bufs, group,
+                                             budget)
+                else:
+                    batch = generate_many(stacked, plan, bufs, group,
+                                          step, budget)
+                keep = validate_many(stacked, plan, batch)
+                owner = batch.owner[keep]
+                counts = np.bincount(owner, minlength=len(group))
+                if step + 1 == n_steps:
+                    finals.append((group[owner], batch.ids[keep]))
+                    done = counts
+                else:
+                    bufs.fill(step + 1, group, owner, counts,
+                              batch.pos[keep], batch.ids[keep])
+                    done = np.zeros_like(counts)
+                log.append((group, np.full(len(group), step),
+                            batch.n_consumed, batch.n_new, done))
+        self._account_lockstep(parts, plan, reports, bufs, log, finals)
+
+    def _finish_alone(
+        self, parts: list[CST], plan: MatchPlan, stacked: StackedCSTs,
+        bufs: SlotBuffers, p: int, log: list, finals: list,
+    ) -> None:
+        """Run partition ``p`` of a lockstep window to completion alone.
+
+        Its slots become :class:`DepthBuffer` views, shifted back to
+        the partition's own candidate positions, and :meth:`_rounds`
+        takes over where the lockstep left off; its rounds join the
+        log as if batched.
+        """
+        n_steps = plan.num_steps
+        cap = bufs.capacity
+        buffers = [DepthBuffer(d, cap) for d in range(n_steps)]
+        for d in range(1, n_steps):
+            buf = buffers[d]
+            buf.front = int(bufs.front[d][p])
+            buf.front_offset = int(bufs.offset[d][p])
+            buf.peak = int(bufs.peak[d][p])
+            rows = slice(p * cap,
+                         p * cap + buf.front + int(bufs.remaining[d][p]))
+            buf.pos = bufs.pos[d][rows] - np.array(
+                [stacked.offsets[u][p] for u in plan.order[:d]],
+                dtype=np.int64,
+            )
+            buf.ids = bufs.ids[d][rows]
+        rounds = []
+        for batch, _, ids in self._rounds(parts[p], plan, buffers,
+                                          int(bufs.root_cursor[p])):
+            done = 0
+            if batch.step + 1 == n_steps:
+                done = len(ids)
+                finals.append((np.full(done, p), ids))
+            rounds.append((batch.step, batch.n_consumed, batch.n_new, done))
+        for d in range(1, n_steps):
+            bufs.peak[d][p] = buffers[d].peak
+        if rounds:
+            log.append((np.full(len(rounds), p),
+                        *np.array(rounds, dtype=np.int64).T))
+
+    def _account_lockstep(
+        self, parts: list[CST], plan: MatchPlan,
+        reports: list[KernelReport], bufs: SlotBuffers, log: list,
+        finals: list,
+    ) -> None:
+        """Split a lockstep run's round log back out per partition."""
+        cfg = self.config
+        n_steps = plan.num_steps
+        owner = np.concatenate([entry[0] for entry in log])
+        order = np.argsort(owner, kind="stable")
+        rounds = np.bincount(owner, minlength=len(parts))
+        first = np.cumsum(rounds) - rounds
+        step, pops, new, done = (
+            np.concatenate([entry[k] for entry in log])[order]
+            for k in (1, 2, 3, 4)
+        )
+        checks_by_step = np.array(
+            [plan.tasks_per_partial(s) for s in range(n_steps)],
+            dtype=np.int64,
+        )
+        checks = checks_by_step[step]
+        tasks = new * checks
+        flush = self._flush_cycles_array(done * n_steps * 4)
+        # Few distinct round shapes recur across thousands of rounds:
+        # charge each shape once through the scalar cycle model.
+        width = cfg.batch_size + 1
+        shapes, inverse = np.unique(
+            (step * width + pops) * width + new, return_inverse=True
+        )
+        shape_step, shape_rest = np.divmod(shapes, width * width)
+        shape_pops, shape_new = np.divmod(shape_rest, width)
+        cycles = np.array([
+            self._round_cycles(n_pop, n_new, n_new * c, c)
+            for n_pop, n_new, c in zip(
+                shape_pops.tolist(), shape_new.tolist(),
+                checks_by_step[shape_step].tolist(),
+            )
+        ], dtype=np.int64)[inverse.reshape(-1)]
+        sums = np.add.reduceat(
+            np.stack([pops, new, tasks, cycles, flush], axis=1), first,
+            axis=0,
+        ).tolist()
+        embeddings = np.zeros(len(parts), dtype=np.int64)
+        results: list[list] = []
+        if finals:
+            final_owner = np.concatenate([o for o, _ in finals])
+            embeddings = np.bincount(final_owner, minlength=len(parts))
+            if reports[0].results is not None:
+                ids = np.concatenate([i for _, i in finals])
+                ids = ids[np.argsort(final_owner, kind="stable")]
+                rows = _to_query_indexed(ids, plan.order)
+                bounds = np.cumsum(embeddings).tolist()
+                results = [rows[b - e:b] for b, e in
+                           zip(bounds, embeddings.tolist())]
+        if self.trace_modules:
+            shapes_by_round = np.stack(
+                [pops, new, tasks, checks, flush], axis=1
+            ).tolist()
+        peaks = bufs.peak.T.tolist()
+        for p, (part, report) in enumerate(zip(parts, reports)):
+            cursor = self._charge_load(report, part)
+            pops_p, new_p, tasks_p, cycles_p, flush_p = sums[p]
+            report.rounds = int(rounds[p])
+            report.total_partials = new_p
+            report.total_edge_tasks = tasks_p
+            report.total_pops = pops_p
+            report.compute_cycles += cycles_p
+            report.flush_cycles += flush_p
+            report.embeddings = int(embeddings[p])
+            if results:
+                report.results.extend(results[p])
+            if self.trace_modules:
+                lo = int(first[p])
+                for row in shapes_by_round[lo:lo + int(rounds[p])]:
+                    _, cursor = self._trace_round(
+                        report.module_spans, cursor, *row
+                    )
+            report.buffer_peaks = {
+                d: peaks[p][d] for d in range(1, n_steps)
+            }
+            self._charge_slr(report, part, cursor)
+
+    # ------------------------------------------------------------------
+    # Report set-up and per-launch charges shared by run and run_many
+    # ------------------------------------------------------------------
+
+    def _new_report(self, collect_results: bool) -> KernelReport:
+        """The report of one launch before it runs."""
+        report = KernelReport(variant=self.variant,
+                              clock_mhz=self.config.clock_mhz)
+        report.num_csts = 1
+        if collect_results:
+            report.results = []
+        if self.trace_modules:
+            report.module_spans = []
+        return report
+
+    def _charge_load(self, report: KernelReport, cst: CST) -> float:
+        """Charge the streamed BRAM load; returns the span cursor."""
+        if self.variant == "dram":
+            return 0.0
+        report.load_cycles += self.config.load_cycles(cst.size_bytes())
+        if self.trace_modules and report.load_cycles:
+            report.module_spans.append(
+                ("load", 0.0, float(report.load_cycles))
+            )
+            return float(report.load_cycles)
+        return 0.0
+
+    def _charge_slr(self, report: KernelReport, cst: CST,
+                    cursor: float) -> None:
+        """Charge cross-SLR accesses once the launch's N and M are in."""
+        cfg = self.config
         if cfg.slr_count > 1 and cfg.slr_crossing_penalty_cycles > 0:
             # A CST spilling past its primary SLR pays the crossing
             # penalty on the remote share of every kernel operation
@@ -191,11 +427,40 @@ class FastEngine:
                     report.total_partials + report.total_edge_tasks
                 )
                 report.slr_crossing_cycles = crossing
-                if trace and crossing:
+                if self.trace_modules and crossing:
                     report.module_spans.append(
                         ("slr_crossing", cursor, cursor + crossing)
                     )
-        return report
+
+    def _trace_round(
+        self, spans: list, cursor: float, n_pop: int, n_new: int,
+        n_tasks: int, checks: int, flush: float,
+    ) -> tuple[int, float]:
+        """Append one round's module spans (and its result flush) at
+        ``cursor``; returns the round's cycles and the next cursor."""
+        stages = self._stage_cycles(n_pop, n_new, n_tasks, checks)
+        round_cycles = self._CYCLE_MODELS[self.variant](
+            self, stages, n_pop, n_new, n_tasks
+        )
+        for lane, rel_start, rel_end in self._module_offsets(
+            stages, n_pop, n_new, n_tasks
+        ):
+            if rel_end > rel_start:
+                spans.append((lane, cursor + rel_start, cursor + rel_end))
+        cursor += round_cycles
+        if flush:
+            spans.append(("flush", cursor, cursor + flush))
+            cursor += flush
+        return round_cycles, cursor
+
+    def _flush_cycles_array(self, num_bytes: np.ndarray) -> np.ndarray:
+        """:meth:`FpgaConfig.flush_cycles` over an array of sizes."""
+        cfg = self.config
+        return np.where(
+            num_bytes > 0,
+            cfg.dram_latency + -(-num_bytes // cfg.flush_bytes_per_cycle),
+            0,
+        )
 
     # ------------------------------------------------------------------
     # Per-round timing

@@ -14,7 +14,11 @@ numpy batches:
 * :func:`edge_validate` probes CST candidate edges for every
   previously-matched non-anchor neighbour (Algorithm 7);
 * :func:`synchronize` filters by both bit vectors (Algorithm 8) -
-  routing to the next buffer or the result set is the engine's job.
+  routing to the next buffer or the result set is the engine's job;
+* :func:`expand_root_many`, :func:`generate_many` and
+  :func:`validate_many` run the same steps for many partitions at
+  once, over :class:`StackedCSTs` and per-partition
+  :class:`SlotBuffers` (the lockstep engine).
 
 Everything is positional: a partial result is a row of candidate
 *positions* aligned with the matching order, plus the parallel row of
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import BufferOverflowError, DeviceError, QueryError
-from repro.cst.structure import CST
+from repro.cst.structure import CST, CandidateAdjacency
 from repro.query.ordering import validate_order
 from repro.query.query_graph import QueryGraph
 
@@ -330,3 +334,285 @@ def synchronize(
     """
     keep = bv & bn
     return batch.pos[keep], batch.ids[keep]
+
+
+# ----------------------------------------------------------------------
+# Segmented (lockstep) form: many partitions per numpy pass
+# ----------------------------------------------------------------------
+
+
+def _exclusive_cumsum(values: np.ndarray) -> np.ndarray:
+    """``cumsum(values) - values``: each segment's start offset."""
+    return np.cumsum(values) - values
+
+
+class StackedCSTs:
+    """The candidate sets and plan-edge CSRs of many partitions of one
+    query, stacked block-diagonally.
+
+    Partition ``p``'s candidates of ``u`` occupy global positions
+    ``offsets[u][p] .. offsets[u][p + 1]``, and every stacked
+    adjacency maps global source positions to global target positions.
+    A partial result never leaves its partition's blocks, so
+    :meth:`CandidateAdjacency.contains_batch` probes the stacked CSR
+    unchanged. Only the directed edges the plan reads (each step's
+    anchor edge and its edge checks) are stacked. It exposes
+    ``candidates`` and ``adjacency`` as a :class:`CST` does, so the
+    scalar :func:`generate` runs on it too.
+    """
+
+    def __init__(self, parts: list[CST], plan: MatchPlan) -> None:
+        lens = np.array(
+            [[len(c) for c in part.candidates] for part in parts],
+            dtype=np.int64,
+        ).reshape(len(parts), -1)
+        #: ``offsets[u]`` has ``len(parts) + 1`` entries.
+        self.offsets = [
+            np.concatenate(([0], np.cumsum(lens[:, u])))
+            for u in range(lens.shape[1])
+        ]
+        self.candidates = [
+            np.concatenate([part.candidates[u] for part in parts])
+            for u in range(lens.shape[1])
+        ]
+        edges = set()
+        for step in range(1, plan.num_steps):
+            u = plan.order[step]
+            edges.add((plan.anchor_vertex[step], u))
+            edges.update((u, w) for w, _ in plan.checks[step])
+        self.adjacency: dict[tuple[int, int], CandidateAdjacency] = {}
+        for a, b in sorted(edges):
+            adjs = [part.adjacency[(a, b)] for part in parts]
+            entries = np.array([len(adj.targets) for adj in adjs],
+                               dtype=np.int64)
+            indptr = np.concatenate(
+                [adj.indptr[:-1] for adj in adjs]
+                + [np.array([entries.sum()], dtype=np.int64)]
+            )
+            indptr[:-1] += np.repeat(_exclusive_cumsum(entries), lens[:, a])
+            targets = np.concatenate([adj.targets for adj in adjs])
+            targets += np.repeat(self.offsets[b][:-1], entries)
+            self.adjacency[(a, b)] = CandidateAdjacency(indptr, targets)
+
+
+class SlotBuffers:
+    """Per-partition depth buffers of the lockstep engine.
+
+    Depth ``d`` owns a fixed slot of ``capacity`` (``N_o``) rows per
+    partition: rows ``p * capacity ..`` of ``pos[d]``/``ids[d]``,
+    shaped ``(parts * capacity, d)``. These are the BRAM buffers of
+    Section VI-B, one set per partition. A fill scatters a partition's
+    survivors into its slot, which is only written when drained, so
+    rows are never moved or re-sorted. ``front[d]``/``offset[d]`` are
+    the :class:`DepthBuffer` cursors per partition and
+    ``remaining[d]`` its unpopped rows; ``remaining[0]`` counts root
+    candidates not yet streamed, so the deepest non-zero row of a
+    column is that partition's next step.
+    """
+
+    def __init__(self, num_parts: int, num_steps: int, capacity: int,
+                 root_total: np.ndarray) -> None:
+        self.capacity = capacity
+        shape = (num_steps, num_parts)
+        self.remaining = np.zeros(shape, dtype=np.int64)
+        self.remaining[0] = root_total
+        self.front = np.zeros(shape, dtype=np.int64)
+        self.offset = np.zeros(shape, dtype=np.int64)
+        self.peak = np.zeros(shape, dtype=np.int64)
+        self.root_cursor = np.zeros(num_parts, dtype=np.int64)
+        rows = num_parts * capacity
+        self.pos = [np.empty((rows, d), dtype=np.int64)
+                    for d in range(num_steps)]
+        self.ids = [np.empty((rows, d), dtype=np.int64)
+                    for d in range(num_steps)]
+
+    def fill(self, depth: int, group: np.ndarray, owner: np.ndarray,
+             counts: np.ndarray, pos: np.ndarray, ids: np.ndarray) -> None:
+        """Scatter survivors into their partitions' ``depth`` slots.
+
+        ``owner`` indexes ``group`` per row and ascends; ``counts`` is
+        rows per group member. Every member's slot is drained (the
+        deepest-first policy), so each starts over at row 0.
+        """
+        if len(owner):
+            if counts.max() > self.capacity:
+                raise BufferOverflowError(
+                    f"depth-{depth} buffer received {counts.max()} "
+                    f"partials but holds only {self.capacity}"
+                )
+            rows = np.arange(len(owner)) + (
+                group * self.capacity - _exclusive_cumsum(counts)
+            )[owner]
+            self.pos[depth][rows] = pos
+            self.ids[depth][rows] = ids
+        self.remaining[depth][group] = counts
+        self.front[depth][group] = 0
+        self.offset[depth][group] = 0
+        peak = self.peak[depth]
+        peak[group] = np.maximum(peak[group], counts)
+
+
+@dataclass
+class GroupBatch:
+    """One Generator round of every partition of a lockstep group.
+
+    The segmented :class:`RoundBatch`: the rows of group member ``g``
+    are contiguous, in the order :func:`generate` emits them for that
+    partition alone, and ``owner`` holds ``g`` per row.
+    """
+
+    step: int
+    pos: np.ndarray          # (rows, step + 1) global candidate positions
+    ids: np.ndarray          # (rows, step + 1) data-vertex ids
+    owner: np.ndarray        # (rows,) group member of each row
+    n_consumed: np.ndarray   # per member: buffer entries fully consumed
+    n_new: np.ndarray        # per member: |P_o| of this round
+
+
+def expand_root_many(
+    stacked: StackedCSTs, plan: MatchPlan, bufs: SlotBuffers,
+    group: np.ndarray, budget: int,
+) -> GroupBatch:
+    """:func:`expand_root` for every partition in ``group`` at once."""
+    root = plan.order[0]
+    cursor = bufs.root_cursor[group]
+    unstreamed = bufs.remaining[0]
+    take = np.minimum(budget, unstreamed[group])
+    new_pos = _gather_ranges(cursor + stacked.offsets[root][group], take)
+    bufs.root_cursor[group] = cursor + take
+    unstreamed[group] -= take
+    return GroupBatch(
+        step=0,
+        pos=new_pos[:, None],
+        ids=stacked.candidates[root][new_pos][:, None],
+        owner=np.repeat(np.arange(len(group)), take),
+        n_consumed=np.zeros(len(group), dtype=np.int64),
+        n_new=take,
+    )
+
+
+def generate_many(
+    stacked: StackedCSTs, plan: MatchPlan, bufs: SlotBuffers,
+    group: np.ndarray, step: int, budget: int,
+) -> GroupBatch:
+    """:func:`generate` for every partition in ``group`` at once.
+
+    Each member pops from its own ``step`` slot under its own
+    ``budget``: the take is a segmented cumulative sum over the
+    members' unpopped rows, so every member consumes exactly the rows,
+    and resumes exactly the partial row, that it would alone. A group
+    of one is the tail of an uneven queue; it takes :func:`generate`
+    itself over a view of its slot, which costs fewer numpy calls.
+    """
+    if len(group) == 1:
+        return _generate_one(stacked, plan, bufs, int(group[0]), step,
+                             budget)
+    u = plan.order[step]
+    adj = stacked.adjacency[(plan.anchor_vertex[step], u)]
+    fronts, offsets, unpopped = (
+        bufs.front[step], bufs.offset[step], bufs.remaining[step]
+    )
+    front = fronts[group]
+    offset = offsets[group]
+    avail = unpopped[group]
+    first = _exclusive_cumsum(avail)
+    row_owner = np.repeat(np.arange(len(group)), avail)
+    rows = np.arange(len(row_owner)) + (
+        group * bufs.capacity + front - first
+    )[row_owner]
+    slots_pos = bufs.pos[step]
+    apos = slots_pos[:, plan.anchor_col[step]][rows]
+    row_start = adj.indptr[apos]
+    row_len = adj.row_lens_array()[apos]
+    row_start[first] += offset
+    row_len[first] -= offset
+
+    # Row lengths summed within each member's segment.
+    cum = np.cumsum(row_len)
+    cum -= (cum[first] - row_len[first])[row_owner]
+    fits = cum <= budget
+    take_full = np.add.reduceat(fits, first, dtype=np.int64)
+    consumed = np.where(
+        take_full > 0, cum[np.maximum(first + take_full - 1, 0)], 0
+    )
+    partial = np.where(take_full < avail, budget - consumed, 0)
+    lens = np.where(fits, row_len, 0)
+    cut = partial > 0
+    lens[(first + take_full)[cut]] = partial[cut]
+
+    idx = _gather_ranges(row_start, lens)
+    parent = np.repeat(rows, lens)
+    new_pos = adj.targets[idx]
+    pos = np.concatenate((slots_pos[parent], new_pos[:, None]), axis=1)
+    ids = np.concatenate(
+        (bufs.ids[step][parent],
+         stacked.candidates[u][new_pos][:, None]),
+        axis=1,
+    )
+
+    # Advance the pop cursors exactly as generate() does per buffer.
+    fronts[group] = front + take_full
+    offsets[group] = np.where(
+        cut, np.where(take_full == 0, offset + partial, partial), 0
+    )
+    unpopped[group] = avail - take_full
+    return GroupBatch(
+        step=step,
+        pos=pos,
+        ids=ids,
+        owner=np.repeat(row_owner, lens),
+        n_consumed=take_full,
+        n_new=np.add.reduceat(lens, first),
+    )
+
+
+def _generate_one(
+    stacked: StackedCSTs, plan: MatchPlan, bufs: SlotBuffers, part: int,
+    step: int, budget: int,
+) -> GroupBatch:
+    """:func:`generate` over partition ``part``'s ``step`` slot."""
+    fronts, offsets, unpopped = (
+        bufs.front[step], bufs.offset[step], bufs.remaining[step]
+    )
+    lo = part * bufs.capacity
+    hi = lo + int(fronts[part] + unpopped[part])
+    buffer = DepthBuffer(step, bufs.capacity)
+    buffer.pos = bufs.pos[step][lo:hi]
+    buffer.ids = bufs.ids[step][lo:hi]
+    buffer.front = int(fronts[part])
+    buffer.front_offset = int(offsets[part])
+    batch = generate(stacked, plan, buffer, step, budget)
+    fronts[part] = buffer.front
+    offsets[part] = buffer.front_offset
+    unpopped[part] = len(buffer)
+    return GroupBatch(
+        step=step,
+        pos=batch.pos,
+        ids=batch.ids,
+        owner=np.zeros(batch.n_new, dtype=np.int64),
+        n_consumed=np.array([batch.n_consumed]),
+        n_new=np.array([batch.n_new]),
+    )
+
+
+def validate_many(
+    stacked: StackedCSTs, plan: MatchPlan, batch: GroupBatch
+) -> np.ndarray:
+    """Algorithms 6-8 over a group batch: the indices of kept rows.
+
+    The visited bit, then each edge check, narrows the surviving row
+    indices, so later probes only see rows still alive; the kept set
+    is exactly ``visited_validate & edge_validate``.
+    """
+    keep = np.arange(len(batch.owner))
+    if batch.step == 0 or not len(keep):
+        return keep
+    ids = batch.ids
+    keep = keep[~(ids[:, :-1] == ids[:, -1:]).any(axis=1)]
+    u = plan.order[batch.step]
+    for w, col in plan.checks[batch.step]:
+        adj = stacked.adjacency[(u, w)]
+        keep = keep[adj.contains_batch(
+            batch.pos[keep, -1], batch.pos[keep, col]
+        )]
+    return keep

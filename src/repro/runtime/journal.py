@@ -59,7 +59,7 @@ from repro.fpga.report import KernelReport
 from repro.graph.graph import Graph
 from repro.host.cpu_matcher import CpuMatchCounters
 from repro.runtime.executor import PartitionOutcome
-from repro.runtime.faults import DEVICE_DEAD, FaultEvent, HealthReport
+from repro.runtime.faults import FaultEvent, HealthReport
 
 #: Journal schema version (bumped on incompatible record changes).
 JOURNAL_VERSION = 1
@@ -567,8 +567,9 @@ class DeviceHealthLedger:
         """Fold one run's health report into the history.
 
         Partition-level fault events carry no device index (they run
-        on the single device 0); ``device_dead`` events attribute to
-        the dead device named in their scope, not the failover target.
+        on the single device 0). A failover event (``device_dead`` or
+        ``breaker_open``) attributes to the excluded device named in
+        its scope, not to the failover target it carries.
         """
         if not health.device_status and not health.events:
             return
@@ -582,7 +583,7 @@ class DeviceHealthLedger:
             if status == "dead":
                 stats.dead_runs += 1
         for event in health.events:
-            if event.kind == DEVICE_DEAD and len(event.scope) >= 2:
+            if event.action == "failover" and len(event.scope) >= 2:
                 dev = int(event.scope[1])
             elif event.device is not None:
                 dev = int(event.device)
@@ -594,21 +595,19 @@ class DeviceHealthLedger:
     def record_metrics(self, metrics: Any) -> None:
         """Record a finished run's :class:`RunMetrics`.
 
-        Launch counts come from the schedule stage's per-device CST
-        assignment (multi-FPGA) or the execute stage's kernel launch
-        count (single device).
+        Launch counts are the kernel launches each device actually
+        ran, after any failover: the execute stage's per-device counts
+        on a pool, or its launch count on a single device.
         """
         launches: dict[int, int] = {}
-        sched = metrics.stages.get("schedule")
-        if sched is not None and "csts_per_device" in sched.extra:
+        exe = metrics.stages.get("execute")
+        if exe is not None and "device_launches" in exe.extra:
             launches = {
-                i: int(n)
-                for i, n in enumerate(sched.extra["csts_per_device"])
+                int(i): int(n)
+                for i, n in exe.extra["device_launches"].items()
             }
-        else:
-            exe = metrics.stages.get("execute")
-            if exe is not None and exe.extra.get("num_csts"):
-                launches = {0: int(exe.extra["num_csts"])}
+        elif exe is not None and exe.extra.get("num_csts"):
+            launches = {0: int(exe.extra["num_csts"])}
         self.record_run(metrics.health, launches)
 
     def record_and_save(self, metrics: Any) -> None:

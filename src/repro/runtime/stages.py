@@ -512,6 +512,60 @@ def _tightened_subpartitions(
     return parts, stats
 
 
+def _is_clean(core: SupervisorCore, scope: tuple, ladder_replay: dict) -> bool:
+    """Whether a partition's launch is one clean attempt: no fault of
+    any kind fires at ``scope`` and the journal holds no ladder rung
+    for it."""
+    fplan = core.fault_plan
+    return scope not in ladder_replay and (
+        fplan is None
+        or not any(fplan.fires(kind, *scope) for kind in FAULT_ERRORS)
+    )
+
+
+def _lockstep_outcomes(
+    queues: Sequence[DeviceQueue],
+    core_of: dict[int, SupervisorCore],
+    parts: Sequence[CST],
+    pending: set[int],
+    match_plan: MatchPlan,
+    ladder_replay: dict,
+    collect_results: bool,
+) -> dict[int, PartitionOutcome]:
+    """Launch every clean pending partition of each device queue in one
+    :meth:`FastEngine.run_many` call, the inline execute path.
+
+    Each outcome is the one :func:`_supervise_partition` returns for a
+    clean attempt: one transfer, one ``(pcie, kernel)`` segment and no
+    fault events. Reports equal single launches field for field, so
+    the outcomes, and everything merged from them, do too.
+    """
+    outcomes: dict[int, PartitionOutcome] = {}
+    for dq in queues:
+        clean = [
+            i for i in dq.partitions
+            if i in pending
+            and _is_clean(core_of[i], ("partition", i), ladder_replay)
+        ]
+        if not clean:
+            continue
+        core = core_of[clean[0]]
+        engine = FastEngine(core.fpga, core.engine_variant,
+                            trace_modules=core.trace_modules)
+        link = PcieLink(core.fpga)
+        reports = engine.run_many(
+            [parts[i] for i in clean], match_plan, collect_results
+        )
+        for i, report in zip(clean, reports):
+            pcie = link.send_to_card(parts[i].size_bytes())
+            outcomes[i] = PartitionOutcome(
+                reports=[report],
+                segments=[(pcie, report.seconds + 0.0)],
+                pcie_seconds=pcie,
+            )
+    return outcomes
+
+
 def _run_cpu_partition(
     ref: CST | CstDescriptor, order: tuple[int, ...]
 ) -> tuple[list[tuple[int, ...]], CpuMatchCounters]:
@@ -881,13 +935,24 @@ def execute_stage(
         # workers cannot reach the journal fd, so their rung records
         # ride back on the outcome and on_done appends them before the
         # partition record, preserving replay order.
+        pooled_tasks = uses_pool(
+            exec_cfg, len(pending_fpga) + len(pending_cpu)
+        )
         journal_append = (
             journal.append
-            if journal is not None and journal.active
-            and not uses_pool(exec_cfg, len(pending_fpga) + len(pending_cpu))
+            if journal is not None and journal.active and not pooled_tasks
             else None
         )
+        # Inline, each device queue's clean partitions launch together
+        # in lockstep up front; their tasks hand the outcomes over, so
+        # on_done still sees every partition in index order. Faulted
+        # partitions, and every pool task, take the supervisor.
+        lockstep = {} if pooled_tasks else _lockstep_outcomes(
+            queues, core_of, work.fpga_parts, set(pending_fpga),
+            plan.match_plan, ladder_replay, collect_results,
+        )
         tasks: list[Task] = [
+            (lockstep.pop, (i,)) if i in lockstep else
             (_supervise_partition,
              (core_of[i], plan.order, plan.match_plan, limits,
               collect_results, ladder_replay, work.fpga_parts[i], i,
@@ -1091,9 +1156,12 @@ def execute_stage(
             **dispatch_facts,
         )
         if pooled:
-            st.note(device_seconds={
-                str(run.index): run.seconds for run in runs
-            })
+            st.note(
+                device_seconds={str(run.index): run.seconds for run in runs},
+                device_launches={
+                    str(run.index): run.kernel.num_csts for run in runs
+                },
+            )
         if journal is not None:
             st.note(
                 journaled=True,

@@ -23,8 +23,10 @@ from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.common.errors import DeviceError
+from repro.common.io import read_jsonl
 from repro.experiments.harness import HarnessConfig, make_context, tight_config
 from repro.fpga.config import FpgaConfig
+from repro.fpga.engine import FastEngine
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import get_query
 from repro.obs.logs import JsonLogger
@@ -40,6 +42,7 @@ from repro.runtime.faults import (
     HostFaultPlan,
     RetryPolicy,
 )
+from repro.runtime.journal import RunJournal
 from repro.runtime.pool import PoolConfig, WorkerPool
 from repro.runtime.registry import REGISTRY
 
@@ -319,6 +322,58 @@ class TestWorkerDeterminism:
         assert cpu_csts > 0
         assert pooled.embeddings == serial.embeddings
         assert pooled.seconds == serial.seconds
+
+
+class TestLockstepInline:
+    """Inline, every clean partition of a device queue launches in one
+    ``FastEngine.run_many`` call and faulted ones walk the ladder; the
+    pool launches one partition per task. Nothing modeled may differ."""
+
+    def test_mixed_clean_and_faulted_match_the_pool(
+        self, dataset, worker_pool, tmp_path, monkeypatch,
+    ):
+        batched = []
+        launch_many = FastEngine.run_many
+
+        def spy(self, parts, *args, **kwargs):
+            batched.append(len(parts))
+            return launch_many(self, parts, *args, **kwargs)
+
+        monkeypatch.setattr(FastEngine, "run_many", spy)
+        plan = FaultPlan(seed=5, rates={"kernel_timeout": 0.3})
+        outs, records = {}, {}
+        for workers in (1, 2):
+            path = tmp_path / f"workers{workers}.jsonl"
+            ctx = RunContext(
+                fpga=STRESS_FPGA, fault_plan=plan,
+                executor=ExecutorConfig(workers=workers),
+                journal=RunJournal(path),
+            )
+            if workers > 1:
+                ctx.worker_pool = worker_pool
+            try:
+                outs[workers] = REGISTRY.run(
+                    "fast-share", get_query("q2").graph, dataset.graph,
+                    ctx=ctx, collect_results=True,
+                )
+            finally:
+                ctx.journal.close()
+                ctx.close()
+            # Inline runs journal in index order, pool runs in
+            # completion order: compare the records as a set.
+            records[workers] = sorted(
+                json.dumps(rec, sort_keys=True) for rec in read_jsonl(path)
+            )
+        inline, pooled = outs[1], outs[2]
+        faulted = {e["scope"][1] for e in inline.health["fault_events"]}
+        launched = inline.metrics["stages"]["execute"]["num_csts"]
+        assert faulted and batched and sum(batched) < launched
+        assert pooled.metrics["stages"]["execute"]["pool"] == "process"
+        assert inline.embeddings == pooled.embeddings
+        assert inline.raw.results == pooled.raw.results
+        assert inline.seconds == pooled.seconds
+        assert inline.health == pooled.health
+        assert records[1] == records[2]
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +13,14 @@ from repro.baselines.reference import (
     count_reference_embeddings,
     reference_embeddings,
 )
-from repro.common.errors import DeviceError
+from repro.common.errors import DeviceError, PartitionError
 from repro.cst.builder import build_cst
+from repro.cst.partition import PartitionLimits, partition_to_list
+from repro.cst.structure import CST, CandidateAdjacency
 from repro.fpga.config import FpgaConfig
 from repro.fpga.cycles import l_basic, l_sep, l_task
 from repro.fpga.engine import VARIANTS, FastEngine
+from repro.fpga.kernel import build_plan
 from repro.graph.generators import random_connected_query, random_labeled_graph
 from repro.ldbc.queries import all_queries, get_query
 from repro.query.ordering import path_based_order, random_connected_order
@@ -169,3 +175,67 @@ class TestEngineApi:
         assert rep.total_partials > 0
         assert rep.total_edge_tasks > 0
         assert rep.rounds > 0
+
+
+def emptied(cst: CST) -> CST:
+    """A partition of the same query with no candidates at all."""
+    return CST(
+        query=cst.query,
+        tree=cst.tree,
+        candidates=[c[:0] for c in cst.candidates],
+        adjacency={
+            edge: CandidateAdjacency(
+                np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64),
+            )
+            for edge in cst.adjacency
+        },
+    )
+
+
+class TestLockstep:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data_seed=st.integers(0, 2000),
+        query_seed=st.integers(0, 2000),
+        query_size=st.integers(2, 5),
+        batch=st.sampled_from([1, 2, 3, 8, 32]),
+        bram_share=st.sampled_from([1, 3, 8]),
+        slr_penalty=st.sampled_from([0.0, 6.5]),
+        variant=st.sampled_from(VARIANTS),
+        trace=st.booleans(),
+        collect=st.booleans(),
+    )
+    def test_run_many_equals_single_launches(
+        self, data_seed, query_seed, query_size, batch, bram_share,
+        slr_penalty, variant, trace, collect,
+    ):
+        """Every lockstep report equals its partition's own launch,
+        field for field, on any partitioning and any small device."""
+        data = random_labeled_graph(40, 160, 3, seed=data_seed)
+        query = random_connected_query(
+            query_size, min(query_size * (query_size - 1) // 2,
+                            query_size + 1),
+            3, seed=query_seed,
+        )
+        cst = build_cst(query, data)
+        order = random_connected_order(cst.query, seed=query_seed)
+        limits = PartitionLimits(
+            max_bytes=max(64, cst.size_bytes() // bram_share),
+            max_degree=max(2, cst.max_candidate_degree() // 2),
+        )
+        try:
+            parts, _ = partition_to_list(cst, order, limits)
+        except PartitionError:
+            parts = [cst]
+        parts.insert(len(parts) // 2, emptied(cst))
+        half = max(1, cst.size_bytes() // (2 * bram_share))
+        cfg = FpgaConfig(
+            batch_size=batch, bram_bytes=2 * half,
+            slr_count=2, slr_bram_bytes=(half, half),
+            slr_crossing_penalty_cycles=slr_penalty,
+        )
+        engine = FastEngine(cfg, variant, trace_modules=trace)
+        plan = build_plan(cst.query, order)
+        assert [asdict(r) for r in engine.run_many(parts, plan, collect)] \
+            == [asdict(engine.run(p, plan=plan, collect_results=collect))
+                for p in parts]

@@ -24,14 +24,21 @@ from repro.common.errors import (
     JournalMismatchError,
 )
 from repro.common.io import atomic_write_json, read_jsonl
+from repro.experiments.harness import tight_config
 from repro.fpga.config import FpgaConfig
 from repro.fpga.report import KernelReport
 from repro.host.cpu_matcher import CpuMatchCounters
+from repro.host.multi_fpga import MultiFpgaRunner
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import get_query
 from repro.runtime.context import CancellationToken, RunContext, StageCache
 from repro.runtime.executor import ExecutorConfig, PartitionOutcome
-from repro.runtime.faults import FaultEvent, FaultPlan, HealthReport
+from repro.runtime.faults import (
+    FAULT_KINDS,
+    FaultEvent,
+    FaultPlan,
+    HealthReport,
+)
 from repro.runtime.journal import (
     DeviceHealth,
     DeviceHealthLedger,
@@ -45,6 +52,7 @@ from repro.runtime.journal import (
     report_to_dict,
 )
 from repro.runtime.registry import REGISTRY
+from repro.serve.breaker import CircuitBreaker
 
 #: A device small enough that DG-MICRO runs produce several partitions.
 STRESS_FPGA = FpgaConfig(bram_bytes=8 * 1024, batch_size=128,
@@ -529,6 +537,36 @@ class TestLedgerSteering:
         assert shrunk.embeddings == clean.embeddings
         sched = shrunk.metrics["stages"]["schedule"]
         assert sched["delta_s_scale"] == DeviceHealthLedger.DELTA_S_SHRINK
+
+
+def pool_ledger(num_devices, **ctx_kwargs):
+    """The ledger a ``tight_config()`` DG-MINI/q1 pool run books."""
+    fpga = tight_config().fpga
+    ctx = RunContext(fpga=fpga, **ctx_kwargs)
+    result = MultiFpgaRunner(
+        config=fpga, context=ctx, num_devices=num_devices,
+    ).run(get_query("q1").graph, load_dataset("DG-MINI").graph)
+    ledger = DeviceHealthLedger()
+    ledger.record_metrics(result.metrics)
+    return ledger
+
+
+class TestLedgerFailoverAttribution:
+    def test_breaker_open_booked_on_the_open_device(self):
+        breaker = CircuitBreaker(failure_threshold=1)
+        breaker.record_failure(0)
+        ledger = pool_ledger(2, breaker=breaker)
+        assert set(ledger.device(0).faults) == {"breaker_open"}
+        assert ledger.device(0).faults["breaker_open"] > 0
+        assert ledger.device(1).faults == {}
+
+    def test_launches_credited_to_the_devices_that_ran_them(self):
+        plan = FaultPlan(seed=1, rates={k: 0.0 for k in FAULT_KINDS},
+                         dead_devices={0})
+        ledger = pool_ledger(3, fault_plan=plan)
+        launches = tuple(ledger.device(i).launches for i in range(3))
+        assert launches == (0, 116, 70)
+        assert ledger.device(0).dead_runs == 1
 
 
 # ----------------------------------------------------------------------

@@ -134,7 +134,8 @@ def test_partition_stage_digest(case, graphs, monkeypatch):
     assert digests == [DIGESTS[case]] * 2
 
 
-#: Same grid -> digest of every kernel report, in launch order.
+#: Same grid -> digest of every kernel report, in partition order
+#: (single launches and lockstep batches alike).
 KERNEL_DIGESTS = {
     ("DG-MINI", "q1", "shatter", 0.1, "order"):
         "d50c03f8e2622408e11e5b58ce47de79c13e9996daf01e1339f4def7e6ea6964",
@@ -177,13 +178,20 @@ def test_kernel_report_digest(case, graphs, monkeypatch):
     dataset, query, device, delta, split_policy = case
     reports = []
     launch = FastEngine.run
+    launch_many = FastEngine.run_many
 
     def capture(self, *args, **kwargs):
         report = launch(self, *args, **kwargs)
         reports.append(report_items(report))
         return report
 
+    def capture_many(self, *args, **kwargs):
+        batch = launch_many(self, *args, **kwargs)
+        reports.extend(report_items(report) for report in batch)
+        return batch
+
     monkeypatch.setattr(FastEngine, "run", capture)
+    monkeypatch.setattr(FastEngine, "run_many", capture_many)
     ctx = make_context(HarnessConfig(
         fpga=DEVICES[device], delta=delta, split_policy=split_policy,
     ))
