@@ -203,14 +203,21 @@ class FastEngine:
         """
         reports = [self._new_report(collect_results) for _ in parts]
         live = [i for i, part in enumerate(parts) if not part.is_empty()]
-        n = plan.num_steps
-        slot_bytes = 16 * self.config.batch_size * n * (n - 1) // 2
-        window = max(1, SLOT_BYTES_PER_WINDOW // max(1, slot_bytes))
+        window = self.lockstep_window(plan)
         for start in range(0, len(live), window):
             chunk = live[start:start + window]
             self._lockstep([parts[i] for i in chunk], plan,
                            [reports[i] for i in chunk])
         return reports
+
+    def lockstep_window(self, plan: MatchPlan) -> int:
+        """Partitions of ``plan`` that one lockstep window advances
+        together: as many as :data:`SLOT_BYTES_PER_WINDOW` of depth
+        buffer slots hold (``pos`` and ``ids`` rows, 8 bytes a column,
+        ``N_o`` rows per depth)."""
+        n = plan.num_steps
+        slot_bytes = 16 * self.config.batch_size * n * (n - 1) // 2
+        return max(1, SLOT_BYTES_PER_WINDOW // max(1, slot_bytes))
 
     def _lockstep(self, parts: list[CST], plan: MatchPlan,
                   reports: list[KernelReport]) -> None:
@@ -324,9 +331,14 @@ class FastEngine:
         )
         checks = checks_by_step[step]
         tasks = new * checks
-        flush = self._flush_cycles_array(done * n_steps * 4)
-        # Few distinct round shapes recur across thousands of rounds:
-        # charge each shape once through the scalar cycle model.
+        # Few distinct round shapes (and flush sizes) recur across
+        # thousands of rounds: charge each once through the scalar
+        # cycle and flush models.
+        sizes, inverse = np.unique(done, return_inverse=True)
+        flush = np.array(
+            [cfg.flush_cycles(n * n_steps * 4) for n in sizes.tolist()],
+            dtype=np.int64,
+        )[inverse.reshape(-1)]
         width = cfg.batch_size + 1
         shapes, inverse = np.unique(
             (step * width + pops) * width + new, return_inverse=True
@@ -452,15 +464,6 @@ class FastEngine:
             spans.append(("flush", cursor, cursor + flush))
             cursor += flush
         return round_cycles, cursor
-
-    def _flush_cycles_array(self, num_bytes: np.ndarray) -> np.ndarray:
-        """:meth:`FpgaConfig.flush_cycles` over an array of sizes."""
-        cfg = self.config
-        return np.where(
-            num_bytes > 0,
-            cfg.dram_latency + -(-num_bytes // cfg.flush_bytes_per_cycle),
-            0,
-        )
 
     # ------------------------------------------------------------------
     # Per-round timing

@@ -356,9 +356,7 @@ class StackedCSTs:
     A partial result never leaves its partition's blocks, so
     :meth:`CandidateAdjacency.contains_batch` probes the stacked CSR
     unchanged. Only the directed edges the plan reads (each step's
-    anchor edge and its edge checks) are stacked. It exposes
-    ``candidates`` and ``adjacency`` as a :class:`CST` does, so the
-    scalar :func:`generate` runs on it too.
+    anchor edge and its edge checks) are stacked.
     """
 
     def __init__(self, parts: list[CST], plan: MatchPlan) -> None:
@@ -431,9 +429,15 @@ class SlotBuffers:
         """Scatter survivors into their partitions' ``depth`` slots.
 
         ``owner`` indexes ``group`` per row and ascends; ``counts`` is
-        rows per group member. Every member's slot is drained (the
-        deepest-first policy), so each starts over at row 0.
+        rows per group member. The deepest-first policy only writes a
+        drained slot, so each starts over at row 0; a slot still holding
+        rows raises :class:`BufferOverflowError`, as
+        :meth:`DepthBuffer.fill` does.
         """
+        if (self.remaining[depth][group] > 0).any():
+            raise BufferOverflowError(
+                f"depth-{depth} buffer written while non-empty"
+            )
         if len(owner):
             if counts.max() > self.capacity:
                 raise BufferOverflowError(
@@ -500,13 +504,8 @@ def generate_many(
     Each member pops from its own ``step`` slot under its own
     ``budget``: the take is a segmented cumulative sum over the
     members' unpopped rows, so every member consumes exactly the rows,
-    and resumes exactly the partial row, that it would alone. A group
-    of one is the tail of an uneven queue; it takes :func:`generate`
-    itself over a view of its slot, which costs fewer numpy calls.
+    and resumes exactly the partial row, that it would alone.
     """
-    if len(group) == 1:
-        return _generate_one(stacked, plan, bufs, int(group[0]), step,
-                             budget)
     u = plan.order[step]
     adj = stacked.adjacency[(plan.anchor_vertex[step], u)]
     fronts, offsets, unpopped = (
@@ -563,35 +562,6 @@ def generate_many(
         owner=np.repeat(row_owner, lens),
         n_consumed=take_full,
         n_new=np.add.reduceat(lens, first),
-    )
-
-
-def _generate_one(
-    stacked: StackedCSTs, plan: MatchPlan, bufs: SlotBuffers, part: int,
-    step: int, budget: int,
-) -> GroupBatch:
-    """:func:`generate` over partition ``part``'s ``step`` slot."""
-    fronts, offsets, unpopped = (
-        bufs.front[step], bufs.offset[step], bufs.remaining[step]
-    )
-    lo = part * bufs.capacity
-    hi = lo + int(fronts[part] + unpopped[part])
-    buffer = DepthBuffer(step, bufs.capacity)
-    buffer.pos = bufs.pos[step][lo:hi]
-    buffer.ids = bufs.ids[step][lo:hi]
-    buffer.front = int(fronts[part])
-    buffer.front_offset = int(offsets[part])
-    batch = generate(stacked, plan, buffer, step, budget)
-    fronts[part] = buffer.front
-    offsets[part] = buffer.front_offset
-    unpopped[part] = len(buffer)
-    return GroupBatch(
-        step=step,
-        pos=batch.pos,
-        ids=batch.ids,
-        owner=np.zeros(batch.n_new, dtype=np.int64),
-        n_consumed=np.array([batch.n_consumed]),
-        n_new=np.array([batch.n_new]),
     )
 
 

@@ -523,47 +523,76 @@ def _is_clean(core: SupervisorCore, scope: tuple, ladder_replay: dict) -> bool:
     )
 
 
-def _lockstep_outcomes(
-    queues: Sequence[DeviceQueue],
-    core_of: dict[int, SupervisorCore],
-    parts: Sequence[CST],
-    pending: set[int],
-    match_plan: MatchPlan,
-    ladder_replay: dict,
-    collect_results: bool,
-) -> dict[int, PartitionOutcome]:
-    """Launch every clean pending partition of each device queue in one
-    :meth:`FastEngine.run_many` call, the inline execute path.
+class _LockstepLaunches:
+    """The clean pending partitions of each device queue, launched in
+    :meth:`FastEngine.run_many` windows: the inline execute path.
 
-    Each outcome is the one :func:`_supervise_partition` returns for a
-    clean attempt: one transfer, one ``(pcie, kernel)`` segment and no
-    fault events. Reports equal single launches field for field, so
-    the outcomes, and everything merged from them, do too.
+    A clean partition is one launch attempt: no fault of any kind fires
+    at ``("partition", i)`` and no ladder rung is replayed. Each queue's
+    clean partitions, in index order, split into windows of
+    :meth:`FastEngine.lockstep_window` partitions. A window launches
+    when its first partition's task runs, so deadline checks and journal
+    appends keep pace with the windows. Each outcome is the one
+    :func:`_supervise_partition` returns for a clean attempt: one
+    transfer, one ``(pcie, kernel)`` segment and no fault events.
+    Reports equal single launches field for field, so the outcomes, and
+    everything merged from them, do too.
     """
-    outcomes: dict[int, PartitionOutcome] = {}
-    for dq in queues:
-        clean = [
-            i for i in dq.partitions
-            if i in pending
-            and _is_clean(core_of[i], ("partition", i), ladder_replay)
-        ]
-        if not clean:
-            continue
-        core = core_of[clean[0]]
-        engine = FastEngine(core.fpga, core.engine_variant,
-                            trace_modules=core.trace_modules)
-        link = PcieLink(core.fpga)
-        reports = engine.run_many(
-            [parts[i] for i in clean], match_plan, collect_results
-        )
-        for i, report in zip(clean, reports):
-            pcie = link.send_to_card(parts[i].size_bytes())
-            outcomes[i] = PartitionOutcome(
-                reports=[report],
-                segments=[(pcie, report.seconds + 0.0)],
-                pcie_seconds=pcie,
+
+    def __init__(
+        self,
+        queues: Sequence[DeviceQueue],
+        core_of: dict[int, SupervisorCore],
+        parts: Sequence[CST],
+        pending: set[int],
+        match_plan: MatchPlan,
+        ladder_replay: dict,
+        collect_results: bool,
+    ) -> None:
+        self._parts = parts
+        self._plan = match_plan
+        self._collect = collect_results
+        self._outcomes: dict[int, PartitionOutcome] = {}
+        self._window_of: dict[
+            int, tuple[FastEngine, PcieLink, list[int]]
+        ] = {}
+        for dq in queues:
+            clean = sorted(
+                i for i in dq.partitions
+                if i in pending
+                and _is_clean(core_of[i], ("partition", i), ladder_replay)
             )
-    return outcomes
+            if not clean:
+                continue
+            core = core_of[clean[0]]
+            engine = FastEngine(core.fpga, core.engine_variant,
+                                trace_modules=core.trace_modules)
+            link = PcieLink(core.fpga)
+            size = engine.lockstep_window(match_plan)
+            for start in range(0, len(clean), size):
+                window = clean[start:start + size]
+                for i in window:
+                    self._window_of[i] = (engine, link, window)
+
+    def __contains__(self, i: int) -> bool:
+        return i in self._window_of
+
+    def take(self, i: int) -> PartitionOutcome:
+        """Partition ``i``'s outcome, launching its window first if it
+        has not run yet."""
+        if i not in self._outcomes:
+            engine, link, window = self._window_of[i]
+            reports = engine.run_many(
+                [self._parts[j] for j in window], self._plan, self._collect
+            )
+            for j, report in zip(window, reports):
+                pcie = link.send_to_card(self._parts[j].size_bytes())
+                self._outcomes[j] = PartitionOutcome(
+                    reports=[report],
+                    segments=[(pcie, report.seconds + 0.0)],
+                    pcie_seconds=pcie,
+                )
+        return self._outcomes.pop(i)
 
 
 def _run_cpu_partition(
@@ -944,15 +973,16 @@ def execute_stage(
             else None
         )
         # Inline, each device queue's clean partitions launch together
-        # in lockstep up front; their tasks hand the outcomes over, so
+        # in lockstep windows; their tasks hand the outcomes over, so
         # on_done still sees every partition in index order. Faulted
         # partitions, and every pool task, take the supervisor.
-        lockstep = {} if pooled_tasks else _lockstep_outcomes(
+        lockstep = None if pooled_tasks else _LockstepLaunches(
             queues, core_of, work.fpga_parts, set(pending_fpga),
             plan.match_plan, ladder_replay, collect_results,
         )
         tasks: list[Task] = [
-            (lockstep.pop, (i,)) if i in lockstep else
+            (lockstep.take, (i,))
+            if lockstep is not None and i in lockstep else
             (_supervise_partition,
              (core_of[i], plan.order, plan.match_plan, limits,
               collect_results, ladder_replay, work.fpga_parts[i], i,

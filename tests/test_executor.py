@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
-from repro.common.errors import DeviceError
+from repro.common.errors import DeadlineExceededError, DeviceError
 from repro.common.io import read_jsonl
 from repro.experiments.harness import HarnessConfig, make_context, tight_config
 from repro.fpga.config import FpgaConfig
@@ -30,7 +30,7 @@ from repro.fpga.engine import FastEngine
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import get_query
 from repro.obs.logs import JsonLogger
-from repro.runtime.context import RunContext
+from repro.runtime.context import CancellationToken, RunContext
 from repro.runtime.executor import (
     ExecutorConfig,
     dispatch_partitions,
@@ -374,6 +374,46 @@ class TestLockstepInline:
         assert inline.seconds == pooled.seconds
         assert inline.health == pooled.health
         assert records[1] == records[2]
+
+    def test_deadline_stops_within_one_window(
+        self, dataset, tmp_path, monkeypatch,
+    ):
+        """Clean partitions launch one window at a time, so a deadline
+        halfway through the queue cancels before later windows launch,
+        with every launched partition but the rest of the last window
+        journaled."""
+        launched = []
+        launch_many = FastEngine.run_many
+
+        def spy(self, parts, *args, **kwargs):
+            launched.append(len(parts))
+            return launch_many(self, parts, *args, **kwargs)
+
+        monkeypatch.setattr(FastEngine, "run_many", spy)
+        monkeypatch.setattr(FastEngine, "lockstep_window",
+                            lambda self, plan: 2)
+        query = get_query("q2").graph
+        baseline = REGISTRY.run("fast-sep", query, dataset.graph,
+                                ctx=RunContext(fpga=STRESS_FPGA))
+        execute = baseline.metrics["stages"]["execute"]
+        assert sum(launched) == execute["num_csts"] > 4
+        launched.clear()
+        path = tmp_path / "deadline.jsonl"
+        ctx = RunContext(
+            fpga=STRESS_FPGA, journal=RunJournal(path),
+            cancellation=CancellationToken(
+                baseline.seconds - execute["modeled_seconds"] / 2
+            ),
+        )
+        try:
+            with pytest.raises(DeadlineExceededError, match="execute"):
+                REGISTRY.run("fast-sep", query, dataset.graph, ctx=ctx)
+        finally:
+            ctx.journal.close()
+            ctx.close()
+        journaled = len(read_jsonl(path)) - 1
+        assert 0 < journaled <= sum(launched) < journaled + 2
+        assert sum(launched) < execute["num_csts"]
 
 
 # ----------------------------------------------------------------------

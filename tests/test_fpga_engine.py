@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,14 +14,19 @@ from repro.baselines.reference import (
     count_reference_embeddings,
     reference_embeddings,
 )
-from repro.common.errors import DeviceError, PartitionError
+from repro.common.errors import (
+    BufferOverflowError,
+    DeviceError,
+    PartitionError,
+)
 from repro.cst.builder import build_cst
 from repro.cst.partition import PartitionLimits, partition_to_list
 from repro.cst.structure import CST, CandidateAdjacency
+from repro.fpga import engine as engine_module
 from repro.fpga.config import FpgaConfig
 from repro.fpga.cycles import l_basic, l_sep, l_task
 from repro.fpga.engine import VARIANTS, FastEngine
-from repro.fpga.kernel import build_plan
+from repro.fpga.kernel import SlotBuffers, build_plan
 from repro.graph.generators import random_connected_query, random_labeled_graph
 from repro.ldbc.queries import all_queries, get_query
 from repro.query.ordering import path_based_order, random_connected_order
@@ -204,13 +210,20 @@ class TestLockstep:
         variant=st.sampled_from(VARIANTS),
         trace=st.booleans(),
         collect=st.booleans(),
+        tail=st.sampled_from([0, engine_module.SCALAR_TAIL]),
+        window_bytes=st.sampled_from(
+            [1, engine_module.SLOT_BYTES_PER_WINDOW]
+        ),
     )
     def test_run_many_equals_single_launches(
         self, data_seed, query_seed, query_size, batch, bram_share,
-        slr_penalty, variant, trace, collect,
+        slr_penalty, variant, trace, collect, tail, window_bytes,
     ):
         """Every lockstep report equals its partition's own launch,
-        field for field, on any partitioning and any small device."""
+        field for field, on any partitioning and any small device.
+        A scalar tail of 0 keeps every round in the segmented passes,
+        one-member groups included; 1-byte windows hold one partition
+        each."""
         data = random_labeled_graph(40, 160, 3, seed=data_seed)
         query = random_connected_query(
             query_size, min(query_size * (query_size - 1) // 2,
@@ -236,6 +249,22 @@ class TestLockstep:
         )
         engine = FastEngine(cfg, variant, trace_modules=trace)
         plan = build_plan(cst.query, order)
-        assert [asdict(r) for r in engine.run_many(parts, plan, collect)] \
-            == [asdict(engine.run(p, plan=plan, collect_results=collect))
-                for p in parts]
+        with mock.patch.multiple(engine_module, SCALAR_TAIL=tail,
+                                 SLOT_BYTES_PER_WINDOW=window_bytes):
+            many = [asdict(r) for r in engine.run_many(parts, plan, collect)]
+        assert many == [
+            asdict(engine.run(p, plan=plan, collect_results=collect))
+            for p in parts
+        ]
+
+    def test_slot_written_while_non_empty_raises(self):
+        """A slot is only written once drained, as a DepthBuffer is."""
+        bufs = SlotBuffers(num_parts=2, num_steps=3, capacity=4,
+                           root_total=np.array([5, 5]))
+        group = np.array([0, 1])
+        rows = np.zeros((3, 2), dtype=np.int64)
+        bufs.fill(2, group, np.array([0, 0, 1]), np.array([2, 1]),
+                  rows, rows)
+        with pytest.raises(BufferOverflowError, match="non-empty"):
+            bufs.fill(2, np.array([1]), np.empty(0, dtype=np.int64),
+                      np.array([0]), rows[:0], rows[:0])
