@@ -23,6 +23,7 @@ BRAM-local offsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -219,6 +220,11 @@ class CST:
     def size_bytes(self) -> int:
         """Modeled BRAM footprint ``|CST|``: candidates, adjacency
         targets, and CSR row offsets, at :data:`ENTRY_BYTES` each."""
+        return self._size_bytes
+
+    @cached_property
+    def _size_bytes(self) -> int:
+        # A built CST is never resized, so its footprint is summed once.
         offsets = sum(len(a.indptr) for a in self.adjacency.values())
         return ENTRY_BYTES * (
             self.total_candidates()

@@ -94,66 +94,27 @@ class FastEngine:
 
         ``order`` defaults to the BFS order of the CST's spanning
         tree. ``collect_results`` materialises embeddings (as tuples
-        indexed by query vertex) instead of only counting them.
+        indexed by query vertex) instead of only counting them. A
+        one-partition :meth:`run_many`: the lone partition runs in the
+        scalar machine :meth:`_rounds`, the reference every segmented
+        pass is checked against.
         """
-        cfg = self.config
         if plan is None:
             if order is None:
                 order = tuple(cst.tree.bfs_order)
             plan = build_plan(cst.query, order)
-        report = self._new_report(collect_results)
-        if cst.is_empty():
-            return report
-        trace = self.trace_modules
-        cursor = self._charge_load(report, cst)
-
-        n_steps = plan.num_steps
-        buffers = [
-            DepthBuffer(depth, cfg.batch_size) for depth in range(n_steps)
-        ]  # buffers[d] holds partials with d matched vertices (d >= 1)
-        for batch, pos, ids in self._rounds(cst, plan, buffers, 0):
-            flush_before = report.flush_cycles
-            if batch.step + 1 == n_steps:
-                report.embeddings += len(pos)
-                if collect_results:
-                    report.results.extend(_to_query_indexed(ids, plan.order))
-                report.flush_cycles += cfg.flush_cycles(
-                    len(pos) * n_steps * 4
-                )
-
-            report.rounds += 1
-            report.total_partials += batch.n_new
-            report.total_edge_tasks += batch.n_tasks
-            report.total_pops += batch.n_consumed
-            checks = plan.tasks_per_partial(batch.step)
-            if trace:
-                round_cycles, cursor = self._trace_round(
-                    report.module_spans, cursor, batch.n_consumed,
-                    batch.n_new, batch.n_tasks, checks,
-                    report.flush_cycles - flush_before,
-                )
-            else:
-                round_cycles = self._round_cycles(
-                    batch.n_consumed, batch.n_new, batch.n_tasks, checks
-                )
-            report.compute_cycles += round_cycles
-
-        report.buffer_peaks = {
-            d: buffers[d].peak for d in range(1, n_steps)
-        }
-        self._charge_slr(report, cst, cursor)
-        return report
+        return self.run_many([cst], plan, collect_results)[0]
 
     def _rounds(
         self, cst: CST, plan: MatchPlan, buffers: list[DepthBuffer],
         root_cursor: int,
-    ) -> Iterator[tuple[RoundBatch, np.ndarray, np.ndarray]]:
+    ) -> Iterator[tuple[RoundBatch, np.ndarray]]:
         """The deepest-first buffer machine of Section VI-B on one CST.
 
         Each kernel round expands the deepest non-empty buffer (or
         streams the next root candidates once all are drained), then
         runs the validators and the synchronizer. Yields the round's
-        batch and surviving ``(pos, ids)``; survivors short of a full
+        batch and its survivors' ``ids``; survivors short of a full
         embedding are already in the next depth buffer.
         """
         budget = self.config.batch_size
@@ -180,7 +141,7 @@ class FastEngine:
             depth = batch.step + 1
             if depth < n_steps and len(pos):
                 buffers[depth].fill(pos, ids)
-            yield batch, pos, ids
+            yield batch, ids
 
     def run_many(
         self,
@@ -196,10 +157,11 @@ class FastEngine:
         per group of partitions at the same step over their stacked
         arrays (see :class:`~repro.fpga.kernel.StackedCSTs`). Each
         partition keeps its own ``N_o`` budget, cursors and fixed
-        buffer slots, so every report equals ``run(part, plan=plan)``
-        field for field: cycles, N, M, pops, buffer peaks, SLR
-        crossing, results and module spans. Only host wall time
-        changes. Empty CSTs get the empty report ``run`` returns.
+        buffer slots, so every report equals ``run(part, plan=plan)``,
+        where the partition runs alone in the scalar machine, field
+        for field: cycles, N, M, pops, buffer peaks, SLR crossing,
+        results and module spans. Only host wall time changes. Empty
+        CSTs get an empty report.
         """
         reports = [self._new_report(collect_results) for _ in parts]
         live = [i for i, part in enumerate(parts) if not part.is_empty()]
@@ -224,14 +186,20 @@ class FastEngine:
         """Advance non-empty ``parts`` together; fill their reports."""
         budget = self.config.batch_size
         n_steps = plan.num_steps
-        stacked = StackedCSTs(parts, plan)
-        bufs = SlotBuffers(len(parts), n_steps, budget,
-                           np.diff(stacked.offsets[plan.order[0]]))
+        bufs = SlotBuffers(len(parts), n_steps, budget, np.array(
+            [part.candidate_count(plan.order[0]) for part in parts]
+        ))
+        # Built at the first segmented pass: a window that starts in
+        # the scalar tail (a lone ``run``) never stacks its arrays.
+        stacked: StackedCSTs | None = None
         # Per pass: partitions, steps, pops, new partials and completed
         # embeddings, one entry per (partition, round) in round order.
         log: list[tuple[np.ndarray, ...]] = []
-        # Per pass that completes embeddings: partition and ids rows.
-        finals: list[tuple[np.ndarray, np.ndarray]] = []
+        # Per pass that completes embeddings, when results are
+        # collected: partition and ids rows.
+        finals: list[tuple[np.ndarray, np.ndarray]] | None = (
+            [] if reports[0].results is not None else None
+        )
         active = np.arange(len(parts))
         while True:
             nonempty = bufs.remaining[:, active] > 0
@@ -244,6 +212,8 @@ class FastEngine:
                     self._finish_alone(parts, plan, stacked, bufs, p,
                                        log, finals)
                 break
+            if stacked is None:
+                stacked = StackedCSTs(parts, plan)
             # Deepest-first: each partition's deepest non-empty buffer,
             # or its root stream (row 0) once every buffer is drained.
             steps = n_steps - 1 - np.argmax(nonempty[::-1], axis=0)
@@ -259,7 +229,8 @@ class FastEngine:
                 owner = batch.owner[keep]
                 counts = np.bincount(owner, minlength=len(group))
                 if step + 1 == n_steps:
-                    finals.append((group[owner], batch.ids[keep]))
+                    if finals is not None:
+                        finals.append((group[owner], batch.ids[keep]))
                     done = counts
                 else:
                     bufs.fill(step + 1, group, owner, counts,
@@ -270,15 +241,17 @@ class FastEngine:
         self._account_lockstep(parts, plan, reports, bufs, log, finals)
 
     def _finish_alone(
-        self, parts: list[CST], plan: MatchPlan, stacked: StackedCSTs,
-        bufs: SlotBuffers, p: int, log: list, finals: list,
+        self, parts: list[CST], plan: MatchPlan,
+        stacked: StackedCSTs | None, bufs: SlotBuffers, p: int,
+        log: list, finals: list | None,
     ) -> None:
         """Run partition ``p`` of a lockstep window to completion alone.
 
         Its slots become :class:`DepthBuffer` views, shifted back to
         the partition's own candidate positions, and :meth:`_rounds`
-        takes over where the lockstep left off; its rounds join the
-        log as if batched.
+        takes over where the lockstep left off (at the start when no
+        pass ran, ``stacked`` is ``None`` and every slot is empty); its
+        rounds join the log as if batched.
         """
         n_steps = plan.num_steps
         cap = bufs.capacity
@@ -290,18 +263,21 @@ class FastEngine:
             buf.peak = int(bufs.peak[d][p])
             rows = slice(p * cap,
                          p * cap + buf.front + int(bufs.remaining[d][p]))
-            buf.pos = bufs.pos[d][rows] - np.array(
-                [stacked.offsets[u][p] for u in plan.order[:d]],
-                dtype=np.int64,
-            )
+            buf.pos = bufs.pos[d][rows]
+            if stacked is not None:
+                buf.pos = buf.pos - np.array(
+                    [stacked.offsets[u][p] for u in plan.order[:d]],
+                    dtype=np.int64,
+                )
             buf.ids = bufs.ids[d][rows]
         rounds = []
-        for batch, _, ids in self._rounds(parts[p], plan, buffers,
+        for batch, ids in self._rounds(parts[p], plan, buffers,
                                           int(bufs.root_cursor[p])):
             done = 0
             if batch.step + 1 == n_steps:
                 done = len(ids)
-                finals.append((np.full(done, p), ids))
+                if finals is not None:
+                    finals.append((np.full(done, p), ids))
             rounds.append((batch.step, batch.n_consumed, batch.n_new, done))
         for d in range(1, n_steps):
             bufs.peak[d][p] = buffers[d].peak
@@ -312,7 +288,7 @@ class FastEngine:
     def _account_lockstep(
         self, parts: list[CST], plan: MatchPlan,
         reports: list[KernelReport], bufs: SlotBuffers, log: list,
-        finals: list,
+        finals: list | None,
     ) -> None:
         """Split a lockstep run's round log back out per partition."""
         cfg = self.config
@@ -353,21 +329,17 @@ class FastEngine:
             )
         ], dtype=np.int64)[inverse.reshape(-1)]
         sums = np.add.reduceat(
-            np.stack([pops, new, tasks, cycles, flush], axis=1), first,
-            axis=0,
+            np.stack([pops, new, tasks, cycles, flush, done], axis=1),
+            first, axis=0,
         ).tolist()
-        embeddings = np.zeros(len(parts), dtype=np.int64)
         results: list[list] = []
         if finals:
             final_owner = np.concatenate([o for o, _ in finals])
-            embeddings = np.bincount(final_owner, minlength=len(parts))
-            if reports[0].results is not None:
-                ids = np.concatenate([i for _, i in finals])
-                ids = ids[np.argsort(final_owner, kind="stable")]
-                rows = _to_query_indexed(ids, plan.order)
-                bounds = np.cumsum(embeddings).tolist()
-                results = [rows[b - e:b] for b, e in
-                           zip(bounds, embeddings.tolist())]
+            ids = np.concatenate([i for _, i in finals])
+            ids = ids[np.argsort(final_owner, kind="stable")]
+            rows = _to_query_indexed(ids, plan.order)
+            bounds = np.cumsum([row[5] for row in sums]).tolist()
+            results = [rows[b - row[5]:b] for b, row in zip(bounds, sums)]
         if self.trace_modules:
             shapes_by_round = np.stack(
                 [pops, new, tasks, checks, flush], axis=1
@@ -375,20 +347,20 @@ class FastEngine:
         peaks = bufs.peak.T.tolist()
         for p, (part, report) in enumerate(zip(parts, reports)):
             cursor = self._charge_load(report, part)
-            pops_p, new_p, tasks_p, cycles_p, flush_p = sums[p]
+            pops_p, new_p, tasks_p, cycles_p, flush_p, done_p = sums[p]
             report.rounds = int(rounds[p])
             report.total_partials = new_p
             report.total_edge_tasks = tasks_p
             report.total_pops = pops_p
             report.compute_cycles += cycles_p
             report.flush_cycles += flush_p
-            report.embeddings = int(embeddings[p])
+            report.embeddings = done_p
             if results:
                 report.results.extend(results[p])
             if self.trace_modules:
                 lo = int(first[p])
                 for row in shapes_by_round[lo:lo + int(rounds[p])]:
-                    _, cursor = self._trace_round(
+                    cursor = self._trace_round(
                         report.module_spans, cursor, *row
                     )
             report.buffer_peaks = {
@@ -397,7 +369,7 @@ class FastEngine:
             self._charge_slr(report, part, cursor)
 
     # ------------------------------------------------------------------
-    # Report set-up and per-launch charges shared by run and run_many
+    # Report set-up and per-launch charges
     # ------------------------------------------------------------------
 
     def _new_report(self, collect_results: bool) -> KernelReport:
@@ -447,9 +419,9 @@ class FastEngine:
     def _trace_round(
         self, spans: list, cursor: float, n_pop: int, n_new: int,
         n_tasks: int, checks: int, flush: float,
-    ) -> tuple[int, float]:
+    ) -> float:
         """Append one round's module spans (and its result flush) at
-        ``cursor``; returns the round's cycles and the next cursor."""
+        ``cursor``; returns the next cursor."""
         stages = self._stage_cycles(n_pop, n_new, n_tasks, checks)
         round_cycles = self._CYCLE_MODELS[self.variant](
             self, stages, n_pop, n_new, n_tasks
@@ -463,7 +435,7 @@ class FastEngine:
         if flush:
             spans.append(("flush", cursor, cursor + flush))
             cursor += flush
-        return round_cycles, cursor
+        return cursor
 
     # ------------------------------------------------------------------
     # Per-round timing

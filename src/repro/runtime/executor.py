@@ -27,10 +27,10 @@ path for a single device and for a multi-FPGA pool alike:
     ``buffers`` (more staging never hurts).
 
 :func:`dispatch_partitions`
-    Real wall-clock concurrency for independent partition tasks (FPGA
-    kernel simulation on any device of the run and CPU-share host
-    matching alike): one task per partition. With one
-    worker (or one task) tasks run inline; otherwise they run on the
+    Real wall-clock concurrency for independent partition tasks: FPGA
+    kernel simulation over a window of one device queue's partitions,
+    and CPU-share host matching over one partition. With one worker
+    (or one task) tasks run inline; otherwise they run on the
     context's warm supervised :class:`~repro.runtime.pool.WorkerPool`
     with every CST shipped over the shared-memory arena. Results are
     delivered per task index, so merging is deterministic regardless
@@ -148,7 +148,7 @@ def overlap_timeline(
     return schedule[-1][3] if schedule else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class PartitionOutcome:
     """Everything one supervised FPGA partition produced.
 
@@ -209,8 +209,13 @@ def uses_pool(config: ExecutorConfig, num_tasks: int) -> bool:
 
 
 def _shared_arg(arena: Any, arg: Any) -> Any:
-    """``arg`` swapped for its arena descriptor if it is a CST."""
-    return arena.descriptor_for(arg) if isinstance(arg, CST) else arg
+    """``arg`` swapped for its arena descriptor if it is a CST, and a
+    tuple of CSTs (an FPGA window) for a tuple of descriptors."""
+    if isinstance(arg, CST):
+        return arena.descriptor_for(arg)
+    if isinstance(arg, tuple) and arg and isinstance(arg[0], CST):
+        return tuple(arena.descriptor_for(cst) for cst in arg)
+    return arg
 
 
 def dispatch_partitions(
@@ -220,7 +225,8 @@ def dispatch_partitions(
 ) -> dict[str, Any]:
     """Run independent partition tasks; return the stage's dispatch facts.
 
-    ``tasks`` are ``(fn, args)`` pairs with plain CSTs in ``args``. ``on_result(index, result)`` fires in this
+    ``tasks`` are ``(fn, args)`` pairs with plain CSTs, or tuples of
+    them, in ``args``. ``on_result(index, result)`` fires in this
     process as each task completes — in index order inline, in
     completion order on the pool — which is what the run journal hooks
     to persist outcomes the moment they exist.
@@ -228,9 +234,9 @@ def dispatch_partitions(
     When :func:`uses_pool` says no, tasks run inline in task order.
     Otherwise the context's shared-memory arena is created *before*
     its warm pool (so freshly forked workers inherit its attachments),
-    every CST argument is swapped for its arena descriptor, and the
-    original task is kept as the pickled fallback for a worker that
-    loses the segment. The pool is told whether to time its tasks
+    every CST argument, and every CST in a tuple argument, is swapped
+    for its arena descriptor, and the original task is kept as the
+    pickled fallback for a worker that loses the segment. The pool is told whether to time its tasks
     (the context's tracing flag, set on every dispatch), and its
     supervision events and worker spans are drained onto the
     context's tracer even when a task or ``on_result`` raises, so they

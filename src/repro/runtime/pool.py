@@ -239,10 +239,10 @@ def _error_reply(
 def chunk_size(num_tasks: int, workers: int) -> int:
     """Consecutive tasks per dispatch: about 32 chunks per worker.
 
-    Short streams (a serve request's handful of partitions) keep one
+    Short streams (an execute stage's handful of FPGA windows) keep one
     task per chunk, so hedging and crash accounting stay per task;
-    long ones (thousands of partitions on a tiny device) amortize the
-    pipe round-trip over several tasks.
+    long ones (hundreds of CPU-share partitions) amortize the pipe
+    round-trip over several tasks.
     """
     return max(1, num_tasks // (32 * workers))
 

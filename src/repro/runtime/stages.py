@@ -523,78 +523,6 @@ def _is_clean(core: SupervisorCore, scope: tuple, ladder_replay: dict) -> bool:
     )
 
 
-class _LockstepLaunches:
-    """The clean pending partitions of each device queue, launched in
-    :meth:`FastEngine.run_many` windows: the inline execute path.
-
-    A clean partition is one launch attempt: no fault of any kind fires
-    at ``("partition", i)`` and no ladder rung is replayed. Each queue's
-    clean partitions, in index order, split into windows of
-    :meth:`FastEngine.lockstep_window` partitions. A window launches
-    when its first partition's task runs, so deadline checks and journal
-    appends keep pace with the windows. Each outcome is the one
-    :func:`_supervise_partition` returns for a clean attempt: one
-    transfer, one ``(pcie, kernel)`` segment and no fault events.
-    Reports equal single launches field for field, so the outcomes, and
-    everything merged from them, do too.
-    """
-
-    def __init__(
-        self,
-        queues: Sequence[DeviceQueue],
-        core_of: dict[int, SupervisorCore],
-        parts: Sequence[CST],
-        pending: set[int],
-        match_plan: MatchPlan,
-        ladder_replay: dict,
-        collect_results: bool,
-    ) -> None:
-        self._parts = parts
-        self._plan = match_plan
-        self._collect = collect_results
-        self._outcomes: dict[int, PartitionOutcome] = {}
-        self._window_of: dict[
-            int, tuple[FastEngine, PcieLink, list[int]]
-        ] = {}
-        for dq in queues:
-            clean = sorted(
-                i for i in dq.partitions
-                if i in pending
-                and _is_clean(core_of[i], ("partition", i), ladder_replay)
-            )
-            if not clean:
-                continue
-            core = core_of[clean[0]]
-            engine = FastEngine(core.fpga, core.engine_variant,
-                                trace_modules=core.trace_modules)
-            link = PcieLink(core.fpga)
-            size = engine.lockstep_window(match_plan)
-            for start in range(0, len(clean), size):
-                window = clean[start:start + size]
-                for i in window:
-                    self._window_of[i] = (engine, link, window)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self._window_of
-
-    def take(self, i: int) -> PartitionOutcome:
-        """Partition ``i``'s outcome, launching its window first if it
-        has not run yet."""
-        if i not in self._outcomes:
-            engine, link, window = self._window_of[i]
-            reports = engine.run_many(
-                [self._parts[j] for j in window], self._plan, self._collect
-            )
-            for j, report in zip(window, reports):
-                pcie = link.send_to_card(self._parts[j].size_bytes())
-                self._outcomes[j] = PartitionOutcome(
-                    reports=[report],
-                    segments=[(pcie, report.seconds + 0.0)],
-                    pcie_seconds=pcie,
-                )
-        return self._outcomes.pop(i)
-
-
 def _run_cpu_partition(
     ref: CST | CstDescriptor, order: tuple[int, ...]
 ) -> tuple[list[tuple[int, ...]], CpuMatchCounters]:
@@ -617,20 +545,17 @@ def _supervise_partition(
     limits: PartitionLimits | None,
     collect_results: bool,
     ladder_replay: dict,
-    ref: CST | CstDescriptor,
+    part: CST,
     idx: int,
     journal_append: Callable[[dict], Any] | None = None,
 ) -> PartitionOutcome:
-    """Degradation ladder for one FPGA partition — the FPGA task of the
-    execute stage.
+    """Degradation ladder for one FPGA partition of a window
+    (:func:`_run_window`), inline or in a pool worker.
 
-    Every input but ``journal_append`` is picklable (``core`` is the
-    extracted :class:`~repro.runtime.faults.SupervisorCore`), so the
-    task runs inline and in pool workers alike. Fault decisions and
+    ``core`` is the extracted, picklable
+    :class:`~repro.runtime.faults.SupervisorCore`. Fault decisions and
     backoff are pure in the seed and scope, so a worker process
-    reproduces the parent's schedule bit-identically. Without a fault
-    plan the ladder is one clean attempt, whose outcome is a single
-    ``(pcie, kernel)`` segment and no events.
+    reproduces the parent's schedule bit-identically.
 
     An explicit worklist replaces the old recursive ``supervise``
     closure, so arbitrarily deep re-partition ladders cannot hit
@@ -662,9 +587,7 @@ def _supervise_partition(
                         trace_modules=core.trace_modules)
     link = PcieLink(core.fpga)
     out = PartitionOutcome()
-    stack: list[tuple[CST, tuple, bool]] = [
-        (resolve_partition(ref), ("partition", idx), True)
-    ]
+    stack: list[tuple[CST, tuple, bool]] = [(part, ("partition", idx), True)]
     while stack:
         cur, scope, may_repartition = stack.pop()
         replayed = ladder_replay.get(scope)
@@ -745,6 +668,57 @@ def _supervise_partition(
         out.segments.append((pcie, overhead))
         out.fallbacks.append(_run_cpu_partition(cur, order))
     return out
+
+
+def _run_window(
+    core: SupervisorCore,
+    order: tuple[int, ...],
+    match_plan: MatchPlan,
+    limits: PartitionLimits | None,
+    collect_results: bool,
+    ladder_replay: dict,
+    refs: tuple[CST | CstDescriptor, ...],
+    idxs: tuple[int, ...],
+    journal_append: Callable[[dict], Any] | None = None,
+) -> list[PartitionOutcome]:
+    """One window of a device queue: the FPGA task of the execute stage.
+
+    ``refs`` are consecutive pending partitions of one queue, with
+    their indices in ``idxs``. The clean ones (:func:`_is_clean`)
+    launch together in one :meth:`FastEngine.run_many` call; each gets
+    the outcome the ladder gives one clean attempt: one transfer, one
+    ``(pcie, kernel)`` segment and no fault events. Reports equal
+    single launches field for field, so the outcomes do too. Every
+    other member walks the ladder (:func:`_supervise_partition`).
+    Outcomes come back in window order. Every input but
+    ``journal_append`` is picklable, so the task runs inline and in
+    pool workers alike.
+    """
+    parts = [resolve_partition(ref) for ref in refs]
+    clean = [
+        k for k, i in enumerate(idxs)
+        if _is_clean(core, ("partition", i), ladder_replay)
+    ]
+    engine = FastEngine(core.fpga, core.engine_variant,
+                        trace_modules=core.trace_modules)
+    link = PcieLink(core.fpga)
+    reports = engine.run_many([parts[k] for k in clean], match_plan,
+                              collect_results)
+    outcomes: dict[int, PartitionOutcome] = {}
+    for k, report in zip(clean, reports):
+        pcie = link.send_to_card(parts[k].size_bytes())
+        outcomes[k] = PartitionOutcome(
+            reports=[report],
+            segments=[(pcie, report.seconds + 0.0)],
+            pcie_seconds=pcie,
+        )
+    return [
+        outcomes[k] if k in outcomes else _supervise_partition(
+            core, order, match_plan, limits, collect_results,
+            ladder_replay, parts[k], i, journal_append,
+        )
+        for k, i in enumerate(idxs)
+    ]
 
 
 def _cpu_seconds(
@@ -846,24 +820,6 @@ def execute_stage(
         journal.ladder_records()
         if journal is not None and journal.resume else {}
     )
-    # One supervision core per device; every partition's task carries
-    # the core of the device it is queued on.
-    core_of: dict[int, SupervisorCore] = {}
-    for dq in queues:
-        core = SupervisorCore(
-            fpga=dq.fpga,
-            engine_variant=engine_variant,
-            retry_policy=ctx.retry_policy,
-            fault_plan=ctx.fault_plan,
-            seed=ctx.seed,
-            trace_modules=ctx.tracer.enabled,
-            cpu_cost=ctx.cpu_cost,
-            avg_degree=data.average_degree(),
-            num_vertices=data.num_vertices,
-            device=dq.index if pooled else None,
-        )
-        for i in dq.partitions:
-            core_of[i] = core
     # A pooled device idles when its queue is empty; the one device of
     # a single-device run always fetches results.
     active = [dq for dq in queues if dq.partitions or not pooled]
@@ -955,39 +911,56 @@ def execute_stage(
 
         # FPGA and CPU-share partitions are all independent, so one
         # dispatch covers both; only work the journal has not already
-        # completed is dispatched. Completion callbacks run in this
-        # process and persist each outcome as it lands.
-        pending_fpga = [i for i in range(n_fpga) if i not in outcomes]
+        # completed is dispatched. Each device queue's pending FPGA
+        # partitions split, in queue order, into windows of at most
+        # FastEngine.lockstep_window partitions, and into at least
+        # ``workers`` windows so the pool has one per worker. Each
+        # window carries its device's supervision core. Completion
+        # callbacks run in this process and persist each outcome as it
+        # lands.
+        windows: list[tuple[SupervisorCore, tuple[int, ...]]] = []
+        for dq in queues:
+            queued = [i for i in dq.partitions if i not in outcomes]
+            if not queued:
+                continue
+            core = SupervisorCore(
+                fpga=dq.fpga,
+                engine_variant=engine_variant,
+                retry_policy=ctx.retry_policy,
+                fault_plan=ctx.fault_plan,
+                seed=ctx.seed,
+                trace_modules=ctx.tracer.enabled,
+                cpu_cost=ctx.cpu_cost,
+                avg_degree=data.average_degree(),
+                num_vertices=data.num_vertices,
+                device=dq.index if pooled else None,
+            )
+            size = min(
+                FastEngine(dq.fpga).lockstep_window(plan.match_plan),
+                -(-len(queued) // exec_cfg.workers),
+            )
+            windows += [
+                (core, tuple(queued[start:start + size]))
+                for start in range(0, len(queued), size)
+            ]
         pending_cpu = [j for j in range(n_cpu) if j not in cpu_done]
 
         # Inline supervisors journal each ladder rung write-ahead; pool
         # workers cannot reach the journal fd, so their rung records
         # ride back on the outcome and on_done appends them before the
         # partition record, preserving replay order.
-        pooled_tasks = uses_pool(
-            exec_cfg, len(pending_fpga) + len(pending_cpu)
-        )
+        pooled_tasks = uses_pool(exec_cfg, len(windows) + len(pending_cpu))
         journal_append = (
             journal.append
             if journal is not None and journal.active and not pooled_tasks
             else None
         )
-        # Inline, each device queue's clean partitions launch together
-        # in lockstep windows; their tasks hand the outcomes over, so
-        # on_done still sees every partition in index order. Faulted
-        # partitions, and every pool task, take the supervisor.
-        lockstep = None if pooled_tasks else _LockstepLaunches(
-            queues, core_of, work.fpga_parts, set(pending_fpga),
-            plan.match_plan, ladder_replay, collect_results,
-        )
         tasks: list[Task] = [
-            (lockstep.take, (i,))
-            if lockstep is not None and i in lockstep else
-            (_supervise_partition,
-             (core_of[i], plan.order, plan.match_plan, limits,
-              collect_results, ladder_replay, work.fpga_parts[i], i,
-              journal_append))
-            for i in pending_fpga
+            (_run_window,
+             (core, plan.order, plan.match_plan, limits, collect_results,
+              ladder_replay, tuple(work.fpga_parts[i] for i in window),
+              window, journal_append))
+            for core, window in windows
         ]
         tasks += [
             (_run_cpu_partition, (work.cpu_parts[j], plan.order))
@@ -995,18 +968,19 @@ def execute_stage(
         ]
 
         def on_done(pos: int, result: Any) -> None:
-            if pos < len(pending_fpga):
-                i = pending_fpga[pos]
-                outcomes[i] = result
-                if journal is not None:
-                    for rec in result.ladder_records:
-                        journal.append(rec)
-                    journal.append(
-                        outcome_to_record(i, result, collect_results)
-                    )
-                check_deadline()
+            if pos < len(windows):
+                # One cancellation point per partition, in queue order.
+                for i, out in zip(windows[pos][1], result):
+                    outcomes[i] = out
+                    if journal is not None:
+                        for rec in out.ladder_records:
+                            journal.append(rec)
+                        journal.append(
+                            outcome_to_record(i, out, collect_results)
+                        )
+                    check_deadline()
             else:
-                j = pending_cpu[pos - len(pending_fpga)]
+                j = pending_cpu[pos - len(windows)]
                 found, counters = result
                 cpu_done[j] = (found, counters)
                 if journal is not None:

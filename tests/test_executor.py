@@ -30,6 +30,7 @@ from repro.fpga.engine import FastEngine
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import get_query
 from repro.obs.logs import JsonLogger
+from repro.runtime import stages
 from repro.runtime.context import CancellationToken, RunContext
 from repro.runtime.executor import (
     ExecutorConfig,
@@ -325,21 +326,26 @@ class TestWorkerDeterminism:
 
 
 class TestLockstepInline:
-    """Inline, every clean partition of a device queue launches in one
-    ``FastEngine.run_many`` call and faulted ones walk the ladder; the
-    pool launches one partition per task. Nothing modeled may differ."""
+    """Every FPGA task is a window of one device queue, inline and in
+    the pool alike: its clean partitions launch in one
+    ``FastEngine.run_many`` call and faulted ones walk the ladder.
+    Nothing modeled may differ between ``workers`` 1 and 2."""
 
     def test_mixed_clean_and_faulted_match_the_pool(
         self, dataset, worker_pool, tmp_path, monkeypatch,
     ):
-        batched = []
-        launch_many = FastEngine.run_many
+        windows = {}
+        dispatch = stages.dispatch_partitions
 
-        def spy(self, parts, *args, **kwargs):
-            batched.append(len(parts))
-            return launch_many(self, parts, *args, **kwargs)
+        def spy(ctx, tasks, on_result):
+            # A window task's eighth argument holds its partitions.
+            windows[ctx.executor.workers] = [
+                set(args[7]) for fn, args in tasks
+                if fn is stages._run_window
+            ]
+            return dispatch(ctx, tasks, on_result)
 
-        monkeypatch.setattr(FastEngine, "run_many", spy)
+        monkeypatch.setattr(stages, "dispatch_partitions", spy)
         plan = FaultPlan(seed=5, rates={"kernel_timeout": 0.3})
         outs, records = {}, {}
         for workers in (1, 2):
@@ -366,14 +372,63 @@ class TestLockstepInline:
             )
         inline, pooled = outs[1], outs[2]
         faulted = {e["scope"][1] for e in inline.health["fault_events"]}
-        launched = inline.metrics["stages"]["execute"]["num_csts"]
-        assert faulted and batched and sum(batched) < launched
+        # One window inline; at workers 2 the queue splits in two, and
+        # each half holds clean and faulted partitions.
+        assert len(windows[1]) == 1 and len(windows[2]) == 2
+        for window in windows[2]:
+            assert window & faulted and window - faulted
         assert pooled.metrics["stages"]["execute"]["pool"] == "process"
         assert inline.embeddings == pooled.embeddings
         assert inline.raw.results == pooled.raw.results
         assert inline.seconds == pooled.seconds
         assert inline.health == pooled.health
         assert records[1] == records[2]
+
+    def test_cancellation_prefix_matches_the_pool(self, dataset, tmp_path):
+        """on_done journals and checks the deadline once per partition
+        of a window, so pooled windows cancel at the inline run's
+        partition prefix with the same partition records journaled. A
+        one-process pool completes the two windows in queue order,
+        which makes the journals comparable record for record."""
+        plan = FaultPlan(seed=5, rates={"kernel_timeout": 0.3})
+        query = get_query("q2").graph
+        baseline = REGISTRY.run(
+            "fast-share", query, dataset.graph,
+            ctx=RunContext(fpga=STRESS_FPGA, fault_plan=plan),
+        )
+        execute = baseline.metrics["stages"]["execute"]
+        budget = baseline.seconds - execute["modeled_seconds"] / 2
+        pool = WorkerPool(PoolConfig(workers=1))
+        messages, records = {}, {}
+        try:
+            for workers in (1, 2):
+                path = tmp_path / f"workers{workers}.jsonl"
+                ctx = RunContext(
+                    fpga=STRESS_FPGA, fault_plan=plan,
+                    executor=ExecutorConfig(workers=workers),
+                    journal=RunJournal(path),
+                    cancellation=CancellationToken(budget),
+                )
+                if workers > 1:
+                    ctx.worker_pool = pool
+                try:
+                    with pytest.raises(DeadlineExceededError,
+                                       match="execute") as cancelled:
+                        REGISTRY.run("fast-share", query, dataset.graph,
+                                     ctx=ctx)
+                finally:
+                    ctx.journal.close()
+                    ctx.close()
+                messages[workers] = str(cancelled.value)
+                records[workers] = [
+                    rec for rec in read_jsonl(path)
+                    if rec["type"] == "partition"
+                ]
+        finally:
+            pool.close()
+        assert messages[1] == messages[2]
+        assert records[1] == records[2]
+        assert 0 < len(records[1]) < execute["num_csts"]
 
     def test_deadline_stops_within_one_window(
         self, dataset, tmp_path, monkeypatch,

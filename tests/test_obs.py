@@ -597,7 +597,8 @@ class TestWorkerSpanMerge:
             if instant.track == "pool":
                 assert (instant.args or {}).get("request_id") in jobs
         # Each job's pool-task spans cover its own tasks exactly once;
-        # the multi-FPGA job dispatched one task per partition.
+        # the multi-FPGA job dispatched one window per worker of each
+        # device queue.
         assert set(tasks) == jobs
         for request, ids in tasks.items():
             assert sorted(ids) == list(range(len(ids))), request
@@ -606,7 +607,9 @@ class TestWorkerSpanMerge:
             load_dataset("DG-MINI").graph,
             ctx=make_context(tight_config(HarnessConfig(use_cache=False))),
         )
-        assert len(tasks["multi"]) == solo.raw.num_partitions > 2
+        queues = solo.metrics["stages"]["execute"]["device_launches"]
+        assert len(queues) > 1 and min(queues.values()) > 1
+        assert len(tasks["multi"]) == 2 * len(queues)
 
     def test_request_id_stamping(self):
         tracer = Tracer(enabled=True)
