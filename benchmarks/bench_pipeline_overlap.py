@@ -11,8 +11,8 @@ pipeline):
     overlap, still inline.
 ``process``
     ``workers=4, buffers=2`` — the warm worker pool fed by the
-    zero-copy shared-memory CST plane (descriptors over named
-    segments; see docs/runtime.md).
+    zero-copy shared-memory CST plane (one placed partition set per
+    run over named segments; see docs/runtime.md).
 
 Standalone usage (CI's perf-smoke job runs ``--check``)::
 

@@ -48,6 +48,7 @@ from repro.baselines import (
 from repro.cst import (
     CST,
     PartitionLimits,
+    PartitionSet,
     build_cst,
     estimate_workload,
     partition_to_list,
@@ -116,6 +117,7 @@ __all__ = [
     "ParallelCeci",
     "ParallelDaf",
     "PartitionLimits",
+    "PartitionSet",
     "QueryGraph",
     "REGISTRY",
     "RetryPolicy",

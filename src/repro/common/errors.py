@@ -107,10 +107,10 @@ class WorkerCrashError(ReproError):
 class WorkerShmLost(WorkerCrashError):
     """A worker lost its view of the shared-memory CST plane.
 
-    The segment a task's descriptors point at is gone from the
-    worker's perspective (unlinked externally, or injected via the
-    host-fault plane). The pool re-dispatches the task with a pickled
-    CST payload so the run completes bit-identically; the error
+    The segment a task's placed partition set points at is gone from
+    the worker's perspective (unlinked externally, or injected via the
+    host-fault plane). The pool re-dispatches the task with its
+    partitions pickled so the run completes bit-identically; the error
     propagates only when no pickled fallback is available.
     """
 

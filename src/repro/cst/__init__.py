@@ -4,6 +4,7 @@ from repro.cst.builder import build_cst
 from repro.cst.partition import (
     DEFAULT_MAX_PARTITIONS,
     PartitionLimits,
+    PartitionSet,
     PartitionStats,
     partition_cst,
     partition_to_list,
@@ -24,6 +25,7 @@ __all__ = [
     "DEFAULT_MAX_PARTITIONS",
     "ENTRY_BYTES",
     "PartitionLimits",
+    "PartitionSet",
     "PartitionSetSummary",
     "PartitionStats",
     "build_cst",

@@ -25,15 +25,19 @@ which the test suite verifies.
 Every node of the split tree is a keep-mask over the candidates of
 the *root* CST (:class:`MaskedCST`), whose adjacencies are flattened
 once into global entry arrays (:class:`FlatCST`). A node's size,
-``D_CST`` and workload estimate each take a few whole-array passes;
-CSR arrays are built only for the partitions handed to the sink, and
-share the root's arrays by reference wherever they keep them whole.
+``D_CST`` and workload estimate each take a few whole-array passes.
+An emitted node is packed at once into a :class:`PartitionSet`: the
+candidates and CSR adjacencies of all its partitions, stacked
+block-diagonally in one layout that the kernel reads in place and the
+worker pool ships as one shared-memory placement. A partition's own
+:class:`~repro.cst.structure.CST` is built only when a consumer indexes
+the set for it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -41,7 +45,7 @@ import numpy as np
 
 from repro.common.errors import PartitionError
 from repro.cst.structure import CST, ENTRY_BYTES, CandidateAdjacency
-from repro.cst.workload import row_sums
+from repro.cst.workload import estimate_workload, row_sums
 
 #: Hard cap on emitted partitions - a guard against thresholds so small
 #: that partitioning degenerates into per-candidate enumeration.
@@ -89,8 +93,9 @@ class FlatCST:
 
     def __init__(self, cst: CST) -> None:
         self.cst = cst
-        self.sizes = [len(c) for c in cst.candidates]
-        self.voff = list(accumulate(self.sizes, initial=0))
+        self.voff = list(accumulate(map(len, cst.candidates), initial=0))
+        #: Data-vertex id of every global candidate.
+        self.ids = _concat(cst.candidates)
         self.edges = list(cst.adjacency)
         self.edge_index = {edge: e for e, edge in enumerate(self.edges)}
         adjs = list(cst.adjacency.values())
@@ -98,18 +103,15 @@ class FlatCST:
         self.roff = list(accumulate(num_rows, initial=0))
         #: Per vertex, the entries a kept candidate costs in ``|CST|``:
         #: itself plus one CSR offset per adjacency it sources.
-        self.weight = [1] * len(self.sizes)
+        self.weight = [1] * len(cst.candidates)
         for a, _b in self.edges:
             self.weight[a] += 1
-        #: Per global row, its source candidate and its adjacency's
-        #: first row; per entry, the target vertex's first candidate.
+        #: Per global row, its source candidate; per entry, the target
+        #: vertex's first candidate.
         self.row_src = _concat([
             np.arange(self.voff[a], self.voff[a] + n, dtype=np.int64)
             for (a, _b), n in zip(self.edges, num_rows)
         ])
-        self.row_start = np.repeat(
-            np.array(self.roff[:-1], dtype=np.int64), num_rows
-        )
         self.rowid = np.repeat(
             np.arange(self.roff[-1], dtype=np.int64),
             _concat([np.diff(adj.indptr) for adj in adjs]),
@@ -135,8 +137,8 @@ class MaskedCST:
     the kept candidates per query vertex (counted from ``mask`` unless
     given) and ``row_lens`` the alive entries per global row; global
     row ``r``'s alive entries are ``idx[ends[r]:ends[r + 1]]``.
-    ``size_bytes`` and ``degree`` are the materialized CST's ``|CST|``
-    and ``D_CST``.
+    ``size_bytes`` and ``degree`` are the sub-CST's ``|CST|`` and
+    ``D_CST``.
     """
 
     __slots__ = ("flat", "mask", "idx", "counts", "row_lens", "ends",
@@ -214,8 +216,8 @@ class MaskedCST:
         return children
 
     def workload(self) -> float:
-        """``estimate_workload`` of the materialized CST, bit for bit:
-        the alive entries, in row order, are the compacted CSR's. Below
+        """``estimate_workload`` of the sub-CST, bit for bit: the
+        alive entries, in row order, are its compacted CSR's. Below
         a tree leaf all weights are 1.0, so row sums are row lengths."""
         if self._workload is None:
             flat, tree = self.flat, self.flat.cst.tree
@@ -239,45 +241,177 @@ class MaskedCST:
             )
         return self._workload
 
-    def materialize(self) -> CST:
-        """The sub-CST's CSR arrays, built in one global pass. A
-        candidate set kept whole, and an adjacency between two, is the
-        root's array by reference."""
-        flat, cst, voff = self.flat, self.flat.cst, self.flat.voff
-        whole = [n == size for n, size in zip(self.counts, flat.sizes)]
-        if all(whole):
-            return cst
-        # Kept rows' running alive-entry counts within their adjacency
-        # (CSR offsets past the leading 0); alive entries' targets
-        # renumbered among the kept candidates.
-        row_ends = (self.ends[1:] - self.ends[flat.row_start])[
-            self.mask[flat.row_src]
-        ]
-        rank = np.zeros(len(self.mask) + 1, dtype=np.int64)
-        np.cumsum(self.mask, out=rank[1:])
-        targets = rank[flat.dst[self.idx]] - rank[flat.dst_base[self.idx]]
-        edge_ends = self.ends[flat.roff].tolist()
+
+class PartitionSet:
+    """Partitions of one CST, packed into one block-diagonal layout.
+
+    Partition ``p``'s candidates of ``u`` are
+    ``candidates[u][offsets[u, p]:offsets[u, p + 1]]``, and
+    ``adjacency[(a, b)]`` maps set-wide positions of ``a`` to set-wide
+    positions of ``b``: row ``offsets[a, p] + i`` is candidate ``i`` of
+    ``a`` in partition ``p``, and its targets lie in ``p``'s block of
+    ``b``. A partial result never leaves its partition's blocks, so the
+    kernel advances any members of a set in place. ``size_bytes[p]``
+    and ``workloads[p]`` are the partition's ``|CST|`` and workload
+    estimate. ``pset[p]`` builds the partition's own :class:`CST`, in
+    local positions, on demand (so iterating a set yields every one).
+
+    Algorithm 2 fills a set through :meth:`add`, one emitted node at a
+    time; :meth:`pack` then stacks the added nodes' arrays, after which
+    the set is immutable and its arrays exist.
+    """
+
+    def __init__(self, cst: CST) -> None:
+        """An empty set for partitions of ``cst``."""
+        self.query, self.tree = cst.query, cst.tree
+        self.tree_only, self.edges = cst.tree_only, list(cst.adjacency)
+        self.size_bytes: list[int] = []
+        self.workloads: list[float] = []
+        #: Per added node: its candidate counts, kept candidate ids,
+        #: kept rows' lengths, alive entries' local targets and alive
+        #: entries per edge, in the node's flat order. ``None`` once
+        #: packed.
+        self._pending: list[tuple] | None = []
+
+    @classmethod
+    def of(cls, cst: CST, workload: float | None = None) -> PartitionSet:
+        """``cst`` as a one-member set over its own arrays."""
+        return cls.from_arrays((
+            cst.query, cst.tree, cst.tree_only, list(cst.adjacency),
+            [cst.size_bytes()],
+            [estimate_workload(cst) if workload is None else workload],
+        ), [
+            np.array([[0, len(c)] for c in cst.candidates],
+                     dtype=np.int64).reshape(-1, 2),
+            *cst.candidates,
+            *(arr for adj in cst.adjacency.values()
+              for arr in (adj.indptr, adj.targets)),
+        ])
+
+    def add(self, node: MaskedCST) -> None:
+        """Pack ``node`` as the set's next partition."""
+        if self._pending is None:
+            raise PartitionError("partition set is already packed")
+        flat, mask, idx = node.flat, node.mask, node.idx
+        # Alive entries' targets renumbered among the kept candidates.
+        rank = np.zeros(len(mask) + 1, dtype=np.int64)
+        np.cumsum(mask, out=rank[1:])
+        self._pending.append((
+            node.counts,
+            flat.ids[mask],
+            node.row_lens[mask[flat.row_src]],
+            rank[flat.dst[idx]] - rank[flat.dst_base[idx]],
+            np.diff(node.ends[flat.roff]),
+        ))
+        self.size_bytes.append(node.size_bytes)
+        self.workloads.append(node.workload())
+
+    def pack(self) -> PartitionSet:
+        """Stack the added nodes' arrays block-diagonally (once);
+        returns the set."""
+        if self._pending is None:
+            return self
+        n, parts = self.query.num_vertices, len(self)
+        counts, ids, rows, targets, entries = (
+            list(zip(*self._pending)) or [()] * 5
+        )
+        counts = np.array(counts, dtype=np.int64).reshape(parts, n)
+        entries = np.array(entries, dtype=np.int64).reshape(parts, len(self.edges))
+        offsets = np.zeros((n, parts + 1), dtype=np.int64)
+        np.cumsum(counts.T, axis=1, out=offsets[:, 1:])
+        src = [a for a, _b in self.edges]
+        dst = [b for _a, b in self.edges]
+        # Local targets shifted into their partition's block of ``b``.
+        targets = _concat(list(targets)) + np.repeat(
+            offsets[dst, :-1].T.ravel(), entries.ravel()
+        )
+        adjacency = []
+        for lens, tgts in zip(_regroup(rows, counts[:, src]),
+                              _regroup([targets], entries)):
+            adjacency += [np.concatenate(([0], np.cumsum(lens))), tgts]
+        self._load([offsets, *_regroup(ids, counts), *adjacency])
+        return self
+
+    def _load(self, arrays: list[np.ndarray]) -> None:
+        """Adopt packed ``arrays`` (:meth:`arrays` order)."""
+        n = self.query.num_vertices
+        self._pending = None
+        self._arrays = arrays
+        #: ``(vertices, len + 1)``: each partition's first position per
+        #: query vertex, and the total.
+        self.offsets = arrays[0]
+        self.candidates = arrays[1:1 + n]
+        self.adjacency = {
+            edge: CandidateAdjacency(arrays[1 + n + 2 * e],
+                                     arrays[2 + n + 2 * e])
+            for e, edge in enumerate(self.edges)
+        }
+
+    def __len__(self) -> int:
+        return len(self.size_bytes)
+
+    def __getitem__(self, p: int) -> CST:
+        """Partition ``p``'s own CST, in local positions."""
+        p = range(len(self))[p]
+        lo, hi = self.offsets[:, p].tolist(), self.offsets[:, p + 1].tolist()
         adjacency = {}
-        row = 0
-        for e, (a, b) in enumerate(flat.edges):
-            row += self.counts[a]
-            adjacency[(a, b)] = cst.adjacency[(a, b)] if (
-                whole[a] and whole[b]
-            ) else CandidateAdjacency(
-                np.concatenate(([0], row_ends[row - self.counts[a]:row])),
-                targets[edge_ends[e]:edge_ends[e + 1]],
+        for (a, b), adj in self.adjacency.items():
+            indptr = adj.indptr[lo[a]:hi[a] + 1]
+            adjacency[(a, b)] = CandidateAdjacency(
+                indptr - indptr[0], adj.targets[indptr[0]:indptr[-1]] - lo[b]
             )
-        return CST(cst.query, cst.tree, [
-            c if whole[u] else c[self.mask[voff[u]:voff[u + 1]]]
-            for u, c in enumerate(cst.candidates)
-        ], adjacency, cst.tree_only)
+        return CST(self.query, self.tree, [
+            c[start:stop] for c, start, stop in zip(self.candidates, lo, hi)
+        ], adjacency, self.tree_only)
+
+    def take(self, members: Sequence[int]) -> PartitionSet:
+        """A new set of just ``members``, in that order."""
+        out = PartitionSet(self[members[0]])
+        for m in members:
+            out.add(FlatCST(self[m]).root())
+        return out.pack()
+
+    # -- shared-memory placement ---------------------------------------
+
+    def header(self) -> tuple:
+        """Everything but the arrays, for :meth:`from_arrays`."""
+        return (self.query, self.tree, self.tree_only, self.edges,
+                self.size_bytes, self.workloads)
+
+    def arrays(self) -> list[np.ndarray]:
+        """Every backing array: the offsets, the candidates per vertex,
+        then each edge's indptr and targets."""
+        return self._arrays
+
+    @classmethod
+    def from_arrays(cls, header: tuple, arrays: Sequence[np.ndarray]
+                    ) -> PartitionSet:
+        """The set of :meth:`header` over ``arrays`` (no copy)."""
+        pset = cls.__new__(cls)
+        (pset.query, pset.tree, pset.tree_only, pset.edges,
+         pset.size_bytes, pset.workloads) = header
+        pset._load(list(arrays))
+        return pset
+
+
+def _regroup(chunks: list[np.ndarray], lens: np.ndarray) -> list[np.ndarray]:
+    """Reorder part-major blocks key-major: ``chunks`` hold, per part
+    ``p``, ``lens[p, k]`` values for each key ``k`` in turn; returns
+    one array per key with its blocks in part order."""
+    parts, keys = lens.shape
+    # The smallest key dtype makes the stable sort a radix sort.
+    key = np.repeat(np.tile(
+        np.arange(keys, dtype=np.min_scalar_type(keys)), parts
+    ), lens.ravel())
+    values = _concat(list(chunks))[np.argsort(key, kind="stable")]
+    return np.split(values, np.cumsum(lens.sum(axis=0))[:-1].tolist())
 
 
 def partition_cst(
     cst: CST,
     order: tuple[int, ...],
     limits: PartitionLimits,
-    sink: Callable[[CST, float], None],
+    sink: Callable[[MaskedCST, float], None],
     k_policy: int | str = "greedy",
     max_partitions: int = DEFAULT_MAX_PARTITIONS,
     intercept: Callable[[float], bool] | None = None,
@@ -285,10 +419,12 @@ def partition_cst(
 ) -> PartitionStats:
     """Partition ``cst`` until every piece fits ``limits``.
 
-    Each conforming piece goes to ``sink(part, workload)`` at once (the
-    paper's offload-as-soon-as-ready behaviour), with ``workload ==
-    estimate_workload(part)``. ``k_policy`` is ``"greedy"`` (the
-    paper's adaptive factor) or a fixed integer (the Fig. 8 study).
+    Each conforming piece goes to ``sink(node, workload)`` at once (the
+    paper's offload-as-soon-as-ready behaviour), as its keep-mask node
+    with ``workload == node.workload()``; the sink packs it into a
+    :class:`PartitionSet` (:meth:`PartitionSet.add`) before the next
+    node exists. ``k_policy`` is ``"greedy"`` (the paper's adaptive
+    factor) or a fixed integer (the Fig. 8 study).
 
     ``intercept``, when given, is offered the workload of every
     oversized CST before it is split; returning True hands the whole
@@ -338,7 +474,7 @@ def partition_cst(
                     f"{limits} are too small for this CST"
                 )
         if fits or (intercept is not None and intercept(node.workload())):
-            sink(node.materialize(), node.workload())
+            sink(node, node.workload())
             continue
         if split_policy == "degree":
             u = _degree_split_vertex(node, limits)
@@ -374,14 +510,14 @@ def partition_to_list(
     k_policy: int | str = "greedy",
     max_partitions: int = DEFAULT_MAX_PARTITIONS,
     split_policy: str = "order",
-) -> tuple[list[CST], PartitionStats]:
-    """Convenience wrapper collecting partitions into a list."""
-    parts: list[CST] = []
+) -> tuple[PartitionSet, PartitionStats]:
+    """Convenience wrapper packing every partition into one set."""
+    parts = PartitionSet(cst)
     stats = partition_cst(
-        cst, order, limits, lambda part, _workload: parts.append(part),
+        cst, order, limits, lambda node, _workload: parts.add(node),
         k_policy, max_partitions, split_policy=split_policy,
     )
-    return parts, stats
+    return parts.pack(), stats
 
 
 # ----------------------------------------------------------------------

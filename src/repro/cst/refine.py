@@ -14,7 +14,7 @@ neighbour with no CST-adjacent candidate, so no embedding can use it.
 
 from __future__ import annotations
 
-from repro.cst.partition import FlatCST, MaskedCST
+from repro.cst.partition import FlatCST, MaskedCST, PartitionSet
 from repro.cst.structure import CST
 
 
@@ -25,7 +25,7 @@ def refine_cst(cst: CST, max_passes: int = 10) -> tuple[CST, int]:
     pass scans every directed adjacency; a candidate survives only if
     all its rows are non-empty. Stops early at fixpoint. The passes
     run on a keep-mask over ``cst`` (:class:`FlatCST`), and the
-    refined CST is materialized once at the end.
+    refined CST is packed once at the end.
     """
     flat = FlatCST(cst)
     node = flat.root()
@@ -34,9 +34,13 @@ def refine_cst(cst: CST, max_passes: int = 10) -> tuple[CST, int]:
         # source candidate (unmaterialised tree-only edges have none).
         unsupported = flat.row_src[node.row_lens == 0]
         if not node.mask[unsupported].any():
-            return node.materialize(), passes
+            break
         mask = node.mask.copy()
         mask[unsupported] = False
         idx = node.idx[mask[flat.src[node.idx]] & mask[flat.dst[node.idx]]]
         node = MaskedCST(flat, mask, idx)
-    return node.materialize(), max_passes
+    else:
+        passes = max_passes
+    refined = PartitionSet(cst)
+    refined.add(node)
+    return refined.pack()[0], passes

@@ -23,8 +23,6 @@ BRAM-local offsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Any
 
 import numpy as np
 
@@ -151,30 +149,6 @@ class CandidateAdjacency:
         return CandidateAdjacency(indptr, sorted_src)
 
 
-@dataclass(frozen=True)
-class CstDescriptor:
-    """A lightweight, picklable handle to a CST whose arrays live in
-    shared memory.
-
-    ``candidates[u]`` and each ``adjacency`` entry hold array *refs*
-    (duck-typed: anything with a ``view() -> np.ndarray`` method, in
-    practice :class:`repro.runtime.shm.ArrayRef`) instead of the
-    arrays themselves, so pickling a descriptor costs bytes per array,
-    not bytes per element. The query, spanning tree, and ``tree_only``
-    flag — identical across every partition of a run, and the dominant
-    per-task pickle cost when shipped by value — live behind a single
-    shared ``header`` ref (duck-typed: ``load() -> (query, tree,
-    tree_only)``, in practice :class:`repro.runtime.shm.BlobRef`) that
-    each worker process resolves and caches once per run.
-    """
-
-    header: Any
-    candidates: tuple[Any, ...]
-    #: ``((a, b), indptr_ref, targets_ref)`` per directed query edge,
-    #: in sorted edge order (deterministic round-trips).
-    adjacency: tuple[tuple[tuple[int, int], Any, Any], ...]
-
-
 @dataclass
 class CST:
     """A candidate search tree (possibly a partition of a larger one).
@@ -220,11 +194,6 @@ class CST:
     def size_bytes(self) -> int:
         """Modeled BRAM footprint ``|CST|``: candidates, adjacency
         targets, and CSR row offsets, at :data:`ENTRY_BYTES` each."""
-        return self._size_bytes
-
-    @cached_property
-    def _size_bytes(self) -> int:
-        # A built CST is never resized, so its footprint is summed once.
         offsets = sum(len(a.indptr) for a in self.adjacency.values())
         return ENTRY_BYTES * (
             self.total_candidates()
@@ -271,52 +240,6 @@ class CST:
         """Whether candidate ``i`` of ``a`` and ``j`` of ``b`` are
         CST-adjacent (the Edge Validator's O(1) BRAM probe)."""
         return self.adjacency[(a, b)].contains(i, j)
-
-    # ------------------------------------------------------------------
-    # Shared-memory descriptors (zero-copy process-pool handoff)
-    # ------------------------------------------------------------------
-
-    def to_descriptor(self, arena: Any) -> CstDescriptor:
-        """Register every backing array with ``arena`` and return the
-        :class:`CstDescriptor` that reconstructs this CST zero-copy.
-
-        ``arena`` is duck-typed: it needs ``place(np.ndarray) -> ref``
-        where the ref exposes ``view()``, and ``header_for(cst) ->
-        ref`` where the ref exposes ``load()`` (see
-        :class:`repro.runtime.shm.CstArena`). The descriptor preserves
-        candidates, adjacency CSR content, ``size_bytes()``, and
-        ``row_lens_array()`` exactly — tested in ``tests/test_shm.py``.
-        """
-        return CstDescriptor(
-            header=arena.header_for(self),
-            candidates=tuple(arena.place(c) for c in self.candidates),
-            adjacency=tuple(
-                (edge, arena.place(adj.indptr), arena.place(adj.targets))
-                for edge, adj in sorted(self.adjacency.items())
-            ),
-        )
-
-    @classmethod
-    def from_descriptor(cls, desc: CstDescriptor) -> "CST":
-        """Reconstruct a CST from shared memory with zero copy.
-
-        Every array is a read-only view over the arena's segments;
-        :class:`CandidateAdjacency`'s ``ascontiguousarray`` is a no-op
-        on them (already contiguous ``int64``), so no bytes move. The
-        query/tree header resolves through a per-process cache, so its
-        unpickling cost is paid once per run, not once per partition.
-        """
-        query, tree, tree_only = desc.header.load()
-        return cls(
-            query=query,
-            tree=tree,
-            candidates=[ref.view() for ref in desc.candidates],
-            adjacency={
-                edge: CandidateAdjacency(indptr.view(), targets.view())
-                for edge, indptr, targets in desc.adjacency
-            },
-            tree_only=tree_only,
-        )
 
     # ------------------------------------------------------------------
 

@@ -22,11 +22,12 @@ cycles for each round from the measured batch shape:
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.common.errors import DeviceError
+from repro.cst.partition import PartitionSet
 from repro.cst.structure import CST
 from repro.fpga.config import FpgaConfig
 from repro.fpga.kernel import (
@@ -34,7 +35,6 @@ from repro.fpga.kernel import (
     MatchPlan,
     RoundBatch,
     SlotBuffers,
-    StackedCSTs,
     build_plan,
     edge_validate,
     expand_root,
@@ -95,21 +95,24 @@ class FastEngine:
         ``order`` defaults to the BFS order of the CST's spanning
         tree. ``collect_results`` materialises embeddings (as tuples
         indexed by query vertex) instead of only counting them. A
-        one-partition :meth:`run_many`: the lone partition runs in the
-        scalar machine :meth:`_rounds`, the reference every segmented
-        pass is checked against.
+        :meth:`run_many` over ``cst`` as a one-member set: the lone
+        partition runs in the scalar machine :meth:`_rounds`, the
+        reference every segmented pass is checked against.
         """
         if plan is None:
             if order is None:
                 order = tuple(cst.tree.bfs_order)
             plan = build_plan(cst.query, order)
-        return self.run_many([cst], plan, collect_results)[0]
+        return self.run_many(PartitionSet.of(cst), [0], plan,
+                             collect_results)[0]
 
     def _rounds(
-        self, cst: CST, plan: MatchPlan, buffers: list[DepthBuffer],
-        root_cursor: int,
+        self, parts: PartitionSet, plan: MatchPlan,
+        buffers: list[DepthBuffer], root_cursor: int, root_end: int,
     ) -> Iterator[tuple[RoundBatch, np.ndarray]]:
-        """The deepest-first buffer machine of Section VI-B on one CST.
+        """The deepest-first buffer machine of Section VI-B on the one
+        partition of ``parts`` whose root positions run up to
+        ``root_end``.
 
         Each kernel round expands the deepest non-empty buffer (or
         streams the next root candidates once all are drained), then
@@ -119,7 +122,6 @@ class FastEngine:
         """
         budget = self.config.batch_size
         n_steps = plan.num_steps
-        root_total = cst.candidate_count(plan.order[0])
         while True:
             step = -1
             for d in range(n_steps - 1, 0, -1):
@@ -127,16 +129,17 @@ class FastEngine:
                     step = d
                     break
             if step == -1:
-                if root_cursor >= root_total:
+                if root_cursor >= root_end:
                     return
+                # The budget stops the stream at the partition's end.
                 batch, root_cursor = expand_root(
-                    cst, plan, root_cursor, budget
+                    parts, plan, root_cursor, min(budget, root_end - root_cursor)
                 )
             else:
-                batch = generate(cst, plan, buffers[step], step, budget)
+                batch = generate(parts, plan, buffers[step], step, budget)
 
             bv = visited_validate(batch)
-            bn = edge_validate(cst, plan, batch)
+            bn = edge_validate(parts, plan, batch)
             pos, ids = synchronize(batch, bv, bn)
             depth = batch.step + 1
             if depth < n_steps and len(pos):
@@ -145,31 +148,34 @@ class FastEngine:
 
     def run_many(
         self,
-        parts: list[CST],
+        parts: PartitionSet,
+        members: Sequence[int],
         plan: MatchPlan,
         collect_results: bool = False,
     ) -> list[KernelReport]:
-        """Match many CSTs of one query in lockstep; one report each.
+        """Match ``members`` of a partition set in lockstep; one report
+        each, in ``members`` order.
 
-        Every partition runs its own deepest-first buffer machine, and
-        the machines advance together: each global round makes one
-        kernel round of every unfinished partition, with one numpy pass
-        per group of partitions at the same step over their stacked
-        arrays (see :class:`~repro.fpga.kernel.StackedCSTs`). Each
-        partition keeps its own ``N_o`` budget, cursors and fixed
-        buffer slots, so every report equals ``run(part, plan=plan)``,
-        where the partition runs alone in the scalar machine, field
-        for field: cycles, N, M, pops, buffer peaks, SLR crossing,
-        results and module spans. Only host wall time changes. Empty
-        CSTs get an empty report.
+        Every member runs its own deepest-first buffer machine, and the
+        machines advance together: each global round makes one kernel
+        round of every unfinished member, with one numpy pass per group
+        of members at the same step, read in place from the set's
+        block-diagonal arrays. Members may be any partitions of the
+        set, contiguous or not. Each keeps its own ``N_o`` budget,
+        cursors and fixed buffer slots, so every report equals
+        ``run(parts[m], plan=plan)``, where the partition runs alone in
+        the scalar machine, field for field: cycles, N, M, pops, buffer
+        peaks, SLR crossing, results and module spans. Only host wall
+        time changes. Empty partitions get an empty report.
         """
-        reports = [self._new_report(collect_results) for _ in parts]
-        live = [i for i, part in enumerate(parts) if not part.is_empty()]
+        reports = [self._new_report(collect_results) for _ in members]
+        empty = (np.diff(parts.offsets, axis=1) == 0).any(axis=0)
+        live = [k for k, m in enumerate(members) if not empty[m]]
         window = self.lockstep_window(plan)
         for start in range(0, len(live), window):
             chunk = live[start:start + window]
-            self._lockstep([parts[i] for i in chunk], plan,
-                           [reports[i] for i in chunk])
+            self._lockstep(parts, np.array([members[k] for k in chunk]),
+                           plan, [reports[k] for k in chunk])
         return reports
 
     def lockstep_window(self, plan: MatchPlan) -> int:
@@ -181,17 +187,14 @@ class FastEngine:
         slot_bytes = 16 * self.config.batch_size * n * (n - 1) // 2
         return max(1, SLOT_BYTES_PER_WINDOW // max(1, slot_bytes))
 
-    def _lockstep(self, parts: list[CST], plan: MatchPlan,
-                  reports: list[KernelReport]) -> None:
-        """Advance non-empty ``parts`` together; fill their reports."""
+    def _lockstep(self, parts: PartitionSet, members: np.ndarray,
+                  plan: MatchPlan, reports: list[KernelReport]) -> None:
+        """Advance non-empty ``members`` together; fill their reports."""
         budget = self.config.batch_size
         n_steps = plan.num_steps
-        bufs = SlotBuffers(len(parts), n_steps, budget, np.array(
-            [part.candidate_count(plan.order[0]) for part in parts]
-        ))
-        # Built at the first segmented pass: a window that starts in
-        # the scalar tail (a lone ``run``) never stacks its arrays.
-        stacked: StackedCSTs | None = None
+        root = parts.offsets[plan.order[0]]
+        bufs = SlotBuffers(len(members), n_steps, budget,
+                           root[members + 1] - root[members], root[members])
         # Per pass: partitions, steps, pops, new partials and completed
         # embeddings, one entry per (partition, round) in round order.
         log: list[tuple[np.ndarray, ...]] = []
@@ -200,7 +203,7 @@ class FastEngine:
         finals: list[tuple[np.ndarray, np.ndarray]] | None = (
             [] if reports[0].results is not None else None
         )
-        active = np.arange(len(parts))
+        active = np.arange(len(members))
         while True:
             nonempty = bufs.remaining[:, active] > 0
             running = nonempty.any(axis=0)
@@ -209,23 +212,20 @@ class FastEngine:
                 nonempty = nonempty[:, running]
             if len(active) <= SCALAR_TAIL:
                 for p in active.tolist():
-                    self._finish_alone(parts, plan, stacked, bufs, p,
-                                       log, finals)
+                    self._finish_alone(parts, plan, bufs, p, log, finals)
                 break
-            if stacked is None:
-                stacked = StackedCSTs(parts, plan)
             # Deepest-first: each partition's deepest non-empty buffer,
             # or its root stream (row 0) once every buffer is drained.
             steps = n_steps - 1 - np.argmax(nonempty[::-1], axis=0)
             for step in sorted(set(steps.tolist())):
                 group = active[steps == step]
                 if step == 0:
-                    batch = expand_root_many(stacked, plan, bufs, group,
+                    batch = expand_root_many(parts, plan, bufs, group,
                                              budget)
                 else:
-                    batch = generate_many(stacked, plan, bufs, group,
+                    batch = generate_many(parts, plan, bufs, group,
                                           step, budget)
-                keep = validate_many(stacked, plan, batch)
+                keep = validate_many(parts, plan, batch)
                 owner = batch.owner[keep]
                 counts = np.bincount(owner, minlength=len(group))
                 if step + 1 == n_steps:
@@ -238,20 +238,20 @@ class FastEngine:
                     done = np.zeros_like(counts)
                 log.append((group, np.full(len(group), step),
                             batch.n_consumed, batch.n_new, done))
-        self._account_lockstep(parts, plan, reports, bufs, log, finals)
+        self._account_lockstep(parts, members, plan, reports, bufs, log,
+                               finals)
 
     def _finish_alone(
-        self, parts: list[CST], plan: MatchPlan,
-        stacked: StackedCSTs | None, bufs: SlotBuffers, p: int,
-        log: list, finals: list | None,
+        self, parts: PartitionSet, plan: MatchPlan, bufs: SlotBuffers,
+        p: int, log: list, finals: list | None,
     ) -> None:
-        """Run partition ``p`` of a lockstep window to completion alone.
+        """Run window member ``p`` of a lockstep window to completion
+        alone.
 
-        Its slots become :class:`DepthBuffer` views, shifted back to
-        the partition's own candidate positions, and :meth:`_rounds`
+        Its slots become :class:`DepthBuffer` views and :meth:`_rounds`
         takes over where the lockstep left off (at the start when no
-        pass ran, ``stacked`` is ``None`` and every slot is empty); its
-        rounds join the log as if batched.
+        pass ran and every slot is empty), in the same set positions;
+        its rounds join the log as if batched.
         """
         n_steps = plan.num_steps
         cap = bufs.capacity
@@ -264,15 +264,12 @@ class FastEngine:
             rows = slice(p * cap,
                          p * cap + buf.front + int(bufs.remaining[d][p]))
             buf.pos = bufs.pos[d][rows]
-            if stacked is not None:
-                buf.pos = buf.pos - np.array(
-                    [stacked.offsets[u][p] for u in plan.order[:d]],
-                    dtype=np.int64,
-                )
             buf.ids = bufs.ids[d][rows]
+        cursor = int(bufs.root_cursor[p])
         rounds = []
-        for batch, ids in self._rounds(parts[p], plan, buffers,
-                                          int(bufs.root_cursor[p])):
+        for batch, ids in self._rounds(
+            parts, plan, buffers, cursor, cursor + int(bufs.remaining[0][p])
+        ):
             done = 0
             if batch.step + 1 == n_steps:
                 done = len(ids)
@@ -286,16 +283,16 @@ class FastEngine:
                         *np.array(rounds, dtype=np.int64).T))
 
     def _account_lockstep(
-        self, parts: list[CST], plan: MatchPlan,
+        self, parts: PartitionSet, members: np.ndarray, plan: MatchPlan,
         reports: list[KernelReport], bufs: SlotBuffers, log: list,
         finals: list | None,
     ) -> None:
-        """Split a lockstep run's round log back out per partition."""
+        """Split a lockstep run's round log back out per member."""
         cfg = self.config
         n_steps = plan.num_steps
         owner = np.concatenate([entry[0] for entry in log])
         order = np.argsort(owner, kind="stable")
-        rounds = np.bincount(owner, minlength=len(parts))
+        rounds = np.bincount(owner, minlength=len(members))
         first = np.cumsum(rounds) - rounds
         step, pops, new, done = (
             np.concatenate([entry[k] for entry in log])[order]
@@ -345,8 +342,8 @@ class FastEngine:
                 [pops, new, tasks, checks, flush], axis=1
             ).tolist()
         peaks = bufs.peak.T.tolist()
-        for p, (part, report) in enumerate(zip(parts, reports)):
-            cursor = self._charge_load(report, part)
+        for p, (m, report) in enumerate(zip(members.tolist(), reports)):
+            cursor = self._charge_load(report, parts.size_bytes[m])
             pops_p, new_p, tasks_p, cycles_p, flush_p, done_p = sums[p]
             report.rounds = int(rounds[p])
             report.total_partials = new_p
@@ -366,7 +363,7 @@ class FastEngine:
             report.buffer_peaks = {
                 d: peaks[p][d] for d in range(1, n_steps)
             }
-            self._charge_slr(report, part, cursor)
+            self._charge_slr(report, parts.size_bytes[m], cursor)
 
     # ------------------------------------------------------------------
     # Report set-up and per-launch charges
@@ -383,11 +380,12 @@ class FastEngine:
             report.module_spans = []
         return report
 
-    def _charge_load(self, report: KernelReport, cst: CST) -> float:
-        """Charge the streamed BRAM load; returns the span cursor."""
+    def _charge_load(self, report: KernelReport, size_bytes: int) -> float:
+        """Charge the streamed BRAM load of a ``size_bytes`` partition;
+        returns the span cursor."""
         if self.variant == "dram":
             return 0.0
-        report.load_cycles += self.config.load_cycles(cst.size_bytes())
+        report.load_cycles += self.config.load_cycles(size_bytes)
         if self.trace_modules and report.load_cycles:
             report.module_spans.append(
                 ("load", 0.0, float(report.load_cycles))
@@ -395,7 +393,7 @@ class FastEngine:
             return float(report.load_cycles)
         return 0.0
 
-    def _charge_slr(self, report: KernelReport, cst: CST,
+    def _charge_slr(self, report: KernelReport, size_bytes: int,
                     cursor: float) -> None:
         """Charge cross-SLR accesses once the launch's N and M are in."""
         cfg = self.config
@@ -405,7 +403,7 @@ class FastEngine:
             # (partials and edge tasks both probe the CST). Zero
             # whenever the partition fits one region, so the scheduler
             # can avoid it entirely by placing small partitions well.
-            remote = cfg.slr_remote_fraction(cst.size_bytes())
+            remote = cfg.slr_remote_fraction(size_bytes)
             if remote > 0.0:
                 crossing = cfg.slr_crossing_penalty_cycles * remote * (
                     report.total_partials + report.total_edge_tasks

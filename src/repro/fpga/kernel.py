@@ -16,13 +16,15 @@ numpy batches:
 * :func:`synchronize` filters by both bit vectors (Algorithm 8) -
   routing to the next buffer or the result set is the engine's job;
 * :func:`expand_root_many`, :func:`generate_many` and
-  :func:`validate_many` run the same steps for many partitions at
-  once, over :class:`StackedCSTs` and per-partition
-  :class:`SlotBuffers` (the lockstep engine).
+  :func:`validate_many` run the same steps for many partitions of a
+  :class:`~repro.cst.partition.PartitionSet` at once, over
+  per-partition :class:`SlotBuffers` (the lockstep engine).
 
 Everything is positional: a partial result is a row of candidate
 *positions* aligned with the matching order, plus the parallel row of
-data-vertex ids used for the visited check.
+data-vertex ids used for the visited check. The single-partition steps
+read any object with a CST's ``candidates`` and ``adjacency``: a CST in
+its own positions, or a partition set in set-wide ones.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import BufferOverflowError, DeviceError, QueryError
-from repro.cst.structure import CST, CandidateAdjacency
+from repro.cst.partition import PartitionSet
+from repro.cst.structure import CST
 from repro.query.ordering import validate_order
 from repro.query.query_graph import QueryGraph
 
@@ -166,7 +169,7 @@ def _gather_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 
 def generate(
-    cst: CST,
+    cst: CST | PartitionSet,
     plan: MatchPlan,
     buffer: DepthBuffer,
     step: int,
@@ -273,7 +276,7 @@ def generate(
 
 
 def expand_root(
-    cst: CST, plan: MatchPlan, cursor: int, budget: int
+    cst: CST | PartitionSet, plan: MatchPlan, cursor: int, budget: int
 ) -> tuple[RoundBatch, int]:
     """Algorithm 4 lines 2-3: stream root candidates into partials.
 
@@ -305,7 +308,9 @@ def visited_validate(batch: RoundBatch) -> np.ndarray:
     return ~(batch.ids[:, :-1] == new_ids[:, None]).any(axis=1)
 
 
-def edge_validate(cst: CST, plan: MatchPlan, batch: RoundBatch) -> np.ndarray:
+def edge_validate(
+    cst: CST | PartitionSet, plan: MatchPlan, batch: RoundBatch
+) -> np.ndarray:
     """Algorithm 7: one bit per new partial - all non-anchor matched
     neighbours are CST-adjacent to the new candidate.
 
@@ -346,53 +351,6 @@ def _exclusive_cumsum(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values) - values
 
 
-class StackedCSTs:
-    """The candidate sets and plan-edge CSRs of many partitions of one
-    query, stacked block-diagonally.
-
-    Partition ``p``'s candidates of ``u`` occupy global positions
-    ``offsets[u][p] .. offsets[u][p + 1]``, and every stacked
-    adjacency maps global source positions to global target positions.
-    A partial result never leaves its partition's blocks, so
-    :meth:`CandidateAdjacency.contains_batch` probes the stacked CSR
-    unchanged. Only the directed edges the plan reads (each step's
-    anchor edge and its edge checks) are stacked.
-    """
-
-    def __init__(self, parts: list[CST], plan: MatchPlan) -> None:
-        lens = np.array(
-            [[len(c) for c in part.candidates] for part in parts],
-            dtype=np.int64,
-        ).reshape(len(parts), -1)
-        #: ``offsets[u]`` has ``len(parts) + 1`` entries.
-        self.offsets = [
-            np.concatenate(([0], np.cumsum(lens[:, u])))
-            for u in range(lens.shape[1])
-        ]
-        self.candidates = [
-            np.concatenate([part.candidates[u] for part in parts])
-            for u in range(lens.shape[1])
-        ]
-        edges = set()
-        for step in range(1, plan.num_steps):
-            u = plan.order[step]
-            edges.add((plan.anchor_vertex[step], u))
-            edges.update((u, w) for w, _ in plan.checks[step])
-        self.adjacency: dict[tuple[int, int], CandidateAdjacency] = {}
-        for a, b in sorted(edges):
-            adjs = [part.adjacency[(a, b)] for part in parts]
-            entries = np.array([len(adj.targets) for adj in adjs],
-                               dtype=np.int64)
-            indptr = np.concatenate(
-                [adj.indptr[:-1] for adj in adjs]
-                + [np.array([entries.sum()], dtype=np.int64)]
-            )
-            indptr[:-1] += np.repeat(_exclusive_cumsum(entries), lens[:, a])
-            targets = np.concatenate([adj.targets for adj in adjs])
-            targets += np.repeat(self.offsets[b][:-1], entries)
-            self.adjacency[(a, b)] = CandidateAdjacency(indptr, targets)
-
-
 class SlotBuffers:
     """Per-partition depth buffers of the lockstep engine.
 
@@ -405,11 +363,13 @@ class SlotBuffers:
     the :class:`DepthBuffer` cursors per partition and
     ``remaining[d]`` its unpopped rows; ``remaining[0]`` counts root
     candidates not yet streamed, so the deepest non-zero row of a
-    column is that partition's next step.
+    column is that partition's next step. ``root_cursor`` is each
+    partition's next root position, from ``root_start``.
     """
 
     def __init__(self, num_parts: int, num_steps: int, capacity: int,
-                 root_total: np.ndarray) -> None:
+                 root_total: np.ndarray,
+                 root_start: np.ndarray | int = 0) -> None:
         self.capacity = capacity
         shape = (num_steps, num_parts)
         self.remaining = np.zeros(shape, dtype=np.int64)
@@ -417,7 +377,7 @@ class SlotBuffers:
         self.front = np.zeros(shape, dtype=np.int64)
         self.offset = np.zeros(shape, dtype=np.int64)
         self.peak = np.zeros(shape, dtype=np.int64)
-        self.root_cursor = np.zeros(num_parts, dtype=np.int64)
+        self.root_cursor = np.zeros(num_parts, dtype=np.int64) + root_start
         rows = num_parts * capacity
         self.pos = [np.empty((rows, d), dtype=np.int64)
                     for d in range(num_steps)]
@@ -474,7 +434,7 @@ class GroupBatch:
 
 
 def expand_root_many(
-    stacked: StackedCSTs, plan: MatchPlan, bufs: SlotBuffers,
+    parts: PartitionSet, plan: MatchPlan, bufs: SlotBuffers,
     group: np.ndarray, budget: int,
 ) -> GroupBatch:
     """:func:`expand_root` for every partition in ``group`` at once."""
@@ -482,13 +442,13 @@ def expand_root_many(
     cursor = bufs.root_cursor[group]
     unstreamed = bufs.remaining[0]
     take = np.minimum(budget, unstreamed[group])
-    new_pos = _gather_ranges(cursor + stacked.offsets[root][group], take)
+    new_pos = _gather_ranges(cursor, take)
     bufs.root_cursor[group] = cursor + take
     unstreamed[group] -= take
     return GroupBatch(
         step=0,
         pos=new_pos[:, None],
-        ids=stacked.candidates[root][new_pos][:, None],
+        ids=parts.candidates[root][new_pos][:, None],
         owner=np.repeat(np.arange(len(group)), take),
         n_consumed=np.zeros(len(group), dtype=np.int64),
         n_new=take,
@@ -496,7 +456,7 @@ def expand_root_many(
 
 
 def generate_many(
-    stacked: StackedCSTs, plan: MatchPlan, bufs: SlotBuffers,
+    parts: PartitionSet, plan: MatchPlan, bufs: SlotBuffers,
     group: np.ndarray, step: int, budget: int,
 ) -> GroupBatch:
     """:func:`generate` for every partition in ``group`` at once.
@@ -507,7 +467,7 @@ def generate_many(
     and resumes exactly the partial row, that it would alone.
     """
     u = plan.order[step]
-    adj = stacked.adjacency[(plan.anchor_vertex[step], u)]
+    adj = parts.adjacency[(plan.anchor_vertex[step], u)]
     fronts, offsets, unpopped = (
         bufs.front[step], bufs.offset[step], bufs.remaining[step]
     )
@@ -545,7 +505,7 @@ def generate_many(
     pos = np.concatenate((slots_pos[parent], new_pos[:, None]), axis=1)
     ids = np.concatenate(
         (bufs.ids[step][parent],
-         stacked.candidates[u][new_pos][:, None]),
+         parts.candidates[u][new_pos][:, None]),
         axis=1,
     )
 
@@ -566,7 +526,7 @@ def generate_many(
 
 
 def validate_many(
-    stacked: StackedCSTs, plan: MatchPlan, batch: GroupBatch
+    parts: PartitionSet, plan: MatchPlan, batch: GroupBatch
 ) -> np.ndarray:
     """Algorithms 6-8 over a group batch: the indices of kept rows.
 
@@ -581,7 +541,7 @@ def validate_many(
     keep = keep[~(ids[:, :-1] == ids[:, -1:]).any(axis=1)]
     u = plan.order[batch.step]
     for w, col in plan.checks[batch.step]:
-        adj = stacked.adjacency[(u, w)]
+        adj = parts.adjacency[(u, w)]
         keep = keep[adj.contains_batch(
             batch.pos[keep, -1], batch.pos[keep, col]
         )]

@@ -240,8 +240,8 @@ class MultiFpgaRunner:
             )
 
         def assign(pool: list[DeviceLoad], i: int) -> DeviceLoad:
-            workload = work.fpga_workloads[i]
-            part_bytes = work.fpga_parts[i].size_bytes()
+            workload = work.fpga_parts.workloads[i]
+            part_bytes = work.fpga_parts.size_bytes[i]
             target = min(
                 pool, key=lambda d: placement_key(d, workload, part_bytes)
             )

@@ -477,7 +477,7 @@ class RunContext:
         """The shared-memory CST plane, created on first use.
 
         Returns ``None`` when shared memory is unavailable on the
-        platform (pool tasks then carry pickled CSTs — same results,
+        platform (pool tasks then carry pickled partitions — same results,
         more wall clock).
         """
         if self.arena is not None and not self.arena.closed:

@@ -32,9 +32,9 @@ path for a single device and for a multi-FPGA pool alike:
     and CPU-share host matching over one partition. With one worker
     (or one task) tasks run inline; otherwise they run on the
     context's warm supervised :class:`~repro.runtime.pool.WorkerPool`
-    with every CST shipped over the shared-memory arena. Results are
-    delivered per task index, so merging is deterministic regardless
-    of scheduling.
+    with every partition set shipped once over the shared-memory
+    arena. Results are delivered per task index, so merging is
+    deterministic regardless of scheduling.
 
 Modeled seconds never depend on ``workers`` — the worker pool changes
 only wall-clock time. ``buffers`` changes only modeled seconds. The
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.common.errors import DeviceError
-from repro.cst.structure import CST, CstDescriptor
+from repro.cst.partition import PartitionSet
 from repro.runtime.pool import Task
 from repro.runtime.tracing import WALL
 
@@ -59,6 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle (context -> executor)
 __all__ = [
     "ExecutorConfig",
     "PartitionOutcome",
+    "PartitionRef",
     "Task",
     "dispatch_partitions",
     "overlap_schedule",
@@ -190,15 +191,25 @@ class PartitionOutcome:
     ladder_records: list = field(default_factory=list)
 
 
-def resolve_partition(ref: CST | CstDescriptor) -> CST:
-    """The CST behind a task's partition ref.
+@dataclass(frozen=True)
+class PartitionRef:
+    """The partitions one task reads: ``members`` of a partition set.
 
-    Tasks built by a caller hold plain :class:`CST` objects; when
-    :func:`dispatch_partitions` ships them to the warm pool it swaps
-    each for a :class:`CstDescriptor` into the shared-memory arena,
-    which is rebuilt here as read-only zero-copy views.
+    ``parts`` is the :class:`~repro.cst.partition.PartitionSet` as the
+    caller built the task; :func:`dispatch_partitions` swaps it for
+    the set's shared-memory :class:`~repro.runtime.shm.SetRef` when it
+    ships the task to the warm pool.
     """
-    return ref if isinstance(ref, CST) else CST.from_descriptor(ref)
+
+    parts: Any
+    members: tuple[int, ...]
+
+
+def resolve_partition(ref: PartitionRef) -> PartitionSet:
+    """The partition set behind a task's ref: the set itself inline,
+    rebuilt as read-only zero-copy views on the pool."""
+    parts = ref.parts
+    return parts if isinstance(parts, PartitionSet) else parts.load()
 
 
 def uses_pool(config: ExecutorConfig, num_tasks: int) -> bool:
@@ -209,12 +220,18 @@ def uses_pool(config: ExecutorConfig, num_tasks: int) -> bool:
 
 
 def _shared_arg(arena: Any, arg: Any) -> Any:
-    """``arg`` swapped for its arena descriptor if it is a CST, and a
-    tuple of CSTs (an FPGA window) for a tuple of descriptors."""
-    if isinstance(arg, CST):
-        return arena.descriptor_for(arg)
-    if isinstance(arg, tuple) and arg and isinstance(arg[0], CST):
-        return tuple(arena.descriptor_for(cst) for cst in arg)
+    """A :class:`PartitionRef` ``arg`` over its set's arena placement."""
+    if isinstance(arg, PartitionRef):
+        return PartitionRef(arena.place_set(arg.parts), arg.members)
+    return arg
+
+
+def _pickled_arg(arg: Any) -> Any:
+    """A :class:`PartitionRef` ``arg`` over a set of just its members:
+    what a task pickles when it cannot use the arena."""
+    if isinstance(arg, PartitionRef):
+        return PartitionRef(arg.parts.take(arg.members),
+                            tuple(range(len(arg.members))))
     return arg
 
 
@@ -225,8 +242,8 @@ def dispatch_partitions(
 ) -> dict[str, Any]:
     """Run independent partition tasks; return the stage's dispatch facts.
 
-    ``tasks`` are ``(fn, args)`` pairs with plain CSTs, or tuples of
-    them, in ``args``. ``on_result(index, result)`` fires in this
+    ``tasks`` are ``(fn, args)`` pairs whose partitions are
+    :class:`PartitionRef` args. ``on_result(index, result)`` fires in this
     process as each task completes — in index order inline, in
     completion order on the pool — which is what the run journal hooks
     to persist outcomes the moment they exist.
@@ -234,9 +251,11 @@ def dispatch_partitions(
     When :func:`uses_pool` says no, tasks run inline in task order.
     Otherwise the context's shared-memory arena is created *before*
     its warm pool (so freshly forked workers inherit its attachments),
-    every CST argument, and every CST in a tuple argument, is swapped
-    for its arena descriptor, and the original task is kept as the
-    pickled fallback for a worker that loses the segment. The pool is told whether to time its tasks
+    each ref's set is placed once and shipped as its
+    :class:`~repro.runtime.shm.SetRef`, and a worker that loses the
+    segment falls back to the task pickled with only its refs' members
+    (as every task is shipped when no arena can be created).
+    The pool is told whether to time its tasks
     (the context's tracing flag, set on every dispatch), and its
     supervision events and worker spans are drained onto the
     context's tracer even when a task or ``on_result`` raises, so they
@@ -256,7 +275,7 @@ def dispatch_partitions(
     if arena is None:
         warnings.warn(
             "shared-memory CST plane unavailable; pool tasks fall back "
-            "to pickled CSTs",
+            "to pickled partitions",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -267,16 +286,23 @@ def dispatch_partitions(
                 plane="pickle",
             )
     pool = ctx.ensure_pool()
-    shipped: list[Task] = list(tasks)
-    uses_shm = None
-    if arena is not None:
-        uses_shm = []
-        for i, (fn, args) in enumerate(tasks):
-            shared = tuple(_shared_arg(arena, arg) for arg in args)
-            shipped[i] = (fn, shared)
-            uses_shm.append(
-                any(new is not old for new, old in zip(shared, args))
-            )
+
+    def pickled(i: int) -> Task:
+        fn, args = tasks[i]
+        return fn, tuple(_pickled_arg(arg) for arg in args)
+
+    if arena is None:
+        shipped = [pickled(i) for i in range(len(tasks))]
+        uses_shm = None
+    else:
+        shipped = [
+            (fn, tuple(_shared_arg(arena, arg) for arg in args))
+            for fn, args in tasks
+        ]
+        uses_shm = [
+            any(new is not old for new, old in zip(shared, args))
+            for (_, shared), (_, args) in zip(shipped, tasks)
+        ]
     before = pool.stats.to_dict()
     pool.set_trace(ctx.tracer.enabled)
     try:
@@ -284,7 +310,7 @@ def dispatch_partitions(
             shipped,
             on_result,
             uses_shm=uses_shm,
-            fallback=(lambda i: tasks[i]) if arena is not None else None,
+            fallback=pickled if arena is not None else None,
         )
     finally:
         _trace_pool_activity(ctx, pool)

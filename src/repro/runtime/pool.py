@@ -11,7 +11,7 @@ Design, in one pass:
 
 * **Warm.** Workers are forked once and reused across execute stages
   and serve batches, amortizing both the fork itself and the
-  per-worker shared-memory attachment / ``_BLOB_CACHE`` warmup.
+  per-worker shared-memory attachment / loaded-set cache warmup.
   Parent and workers talk over one duplex pipe per worker; idle
   workers emit periodic heartbeats.
 * **Supervised.** A dead worker (SIGKILL, segfault, OOM) is detected
@@ -117,17 +117,17 @@ def install_parent_death_tether(
 
 
 def _drop_shm_attachments() -> None:
-    """Forget this process's shared-memory attachments and blob cache.
+    """Forget this process's shared-memory attachments and loaded sets.
 
     Used by the injected ``shm_unlink`` fault to simulate losing the
-    CST plane: subsequent descriptor loads in this worker behave as
-    if the segments were never mapped.
+    CST plane: subsequent set loads in this worker behave as if the
+    segments were never mapped.
     """
     from repro.runtime import shm
 
     shm._ATTACHED.clear()
     shm._ATTACHMENTS.clear()
-    shm._BLOB_CACHE.clear()
+    shm._SETS.clear()
 
 
 def _pool_worker_main(

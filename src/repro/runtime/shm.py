@@ -1,17 +1,17 @@
 """Zero-copy shared-memory CST plane for the worker pool.
 
-Pickling every partition's CST payload per task would serialize the
-candidates and CSR adjacency arrays into the call pipe, copy them into
-the worker, and deserialize them again — per partition, per attempt.
-This module keeps the arrays out of the pipe entirely:
+Pickling a task's partitions would serialize their candidates and CSR
+adjacency arrays into the call pipe, copy them into the worker, and
+deserialize them again — per task, per attempt. This module keeps the
+arrays out of the pipe entirely:
 
 :class:`CstArena`
     A bump allocator over named ``multiprocessing.shared_memory``
     segments, owned by the dispatching (parent) process. The execute
-    stage places each partition's backing buffers — ``candidates[u]``
-    plus every adjacency ``indptr``/``targets`` — into the arena once,
-    and ships only :class:`ArrayRef` descriptors across the process
-    boundary.
+    stage places each :class:`~repro.cst.partition.PartitionSet`'s
+    backing arrays — its offsets, ``candidates[u]`` and every
+    adjacency ``indptr``/``targets`` — into the arena once, and ships
+    only a :class:`SetRef` across the process boundary.
 
 :class:`ArrayRef`
     A ``(segment, offset, shape)`` triple. ``view()`` reconstructs a
@@ -19,6 +19,11 @@ This module keeps the arrays out of the pipe entirely:
     Workers attach each segment once (module-level cache) and map it
     read-only; under the default ``fork`` start method they usually
     inherit the parent's mapping and never even hit the filesystem.
+
+:class:`SetRef`
+    One placed set: where its pickled header (query, tree, sizes)
+    lies, plus one :class:`ArrayRef` per array. ``load()`` rebuilds
+    the set zero-copy, once per process.
 
 Lifecycle: the arena is created lazily on the first pooled
 dispatch (:meth:`repro.runtime.context.RunContext.ensure_arena`),
@@ -48,6 +53,8 @@ from multiprocessing import shared_memory
 from typing import Any
 
 import numpy as np
+
+from repro.cst.partition import PartitionSet
 
 #: Default size of one arena segment. Segments are few and large so
 #: worker-side attaches stay O(segments), not O(arrays); arrays larger
@@ -142,7 +149,7 @@ class ArrayRef:
     shape: tuple[int, ...]
 
     def __reduce__(self):
-        # Tuple-based pickling: descriptors carry dozens of refs per
+        # Tuple-based pickling: a set ref carries dozens of refs per
         # task, and the dataclass default (per-field state dict) is
         # measurably slower on both ends of the pipe.
         return (ArrayRef, (self.segment, self.offset, self.shape))
@@ -166,55 +173,54 @@ class ArrayRef:
         return arr
 
 
-#: Per-process cache of loaded header blobs, ``(segment, offset) ->
-#: object``. Offsets are never reused within a segment, so the key is
-#: stable for the segment's lifetime; the cache is bounded by the
-#: number of distinct query/tree pairs an arena ever places (a
-#: handful), not by task count.
-_BLOB_CACHE: dict[tuple[str, int], Any] = {}
+#: Per-process cache of loaded sets, ``(segment, offset) of the header
+#: -> PartitionSet``, oldest first. A set's lazily built lookup arrays
+#: (``contains_batch`` keys, row lengths) stay warm across the windows
+#: and requests that read it; the bound caps what stale sets can hold.
+_SETS: dict[tuple[str, int], PartitionSet] = {}
+_MAX_SETS = 8
 
 
 @dataclass(frozen=True)
-class BlobRef:
-    """A picklable handle to a pickled object in a shared segment.
-
-    The execute stage places each partition batch's *shared* metadata
-    — the query graph and spanning tree, identical across every
-    partition of a run — into the arena exactly once and ships this
-    tiny triple per task instead. ``load()`` unpickles on first use
-    per process and caches, so a worker pays the metadata cost once
-    per run instead of once per partition.
-    """
+class SetRef:
+    """A picklable handle to a :class:`PartitionSet` placed in shared
+    memory: a task pays bytes per array, not per element. The set's
+    pickled header is ``length`` bytes at ``offset`` of ``segment``."""
 
     segment: str
     offset: int
     length: int
+    arrays: tuple[ArrayRef, ...]
 
-    def __reduce__(self):
-        return (BlobRef, (self.segment, self.offset, self.length))
-
-    def load(self) -> Any:
+    def load(self) -> PartitionSet:
+        """The set, rebuilt zero-copy over read-only views (once per
+        process while cached)."""
         key = (self.segment, self.offset)
-        hit = _BLOB_CACHE.get(key)
-        if hit is None:
+        pset = _SETS.get(key)
+        if pset is None:
             buf = _attach(self.segment)
-            hit = pickle.loads(
+            header = pickle.loads(
                 bytes(buf[self.offset:self.offset + self.length])
             )
-            _BLOB_CACHE[key] = hit
-        return hit
+            pset = PartitionSet.from_arrays(
+                header, [ref.view() for ref in self.arrays]
+            )
+            if len(_SETS) >= _MAX_SETS:
+                del _SETS[next(iter(_SETS))]
+            _SETS[key] = pset
+        return pset
 
 
 class CstArena:
     """Bump allocator over owned shared-memory segments.
 
-    ``place`` copies an array into the arena once and returns its
-    :class:`ArrayRef`; ``descriptor_for`` memoizes whole-CST
-    descriptors by object identity, so re-dispatching the same
-    resident CST (serve batches, harness sweeps) places nothing new.
-    Only the creating process ever unlinks: ``close()`` in a forked
-    child is a no-op, and the resource tracker covers a SIGKILLed
-    owner.
+    ``place`` copies an array into the arena and returns its
+    :class:`ArrayRef`; ``place_set`` memoizes whole-set placements by
+    object identity, so re-dispatching the same resident set (every
+    window of a run, serve batches, harness sweeps) places nothing
+    new. Only the creating process ever unlinks: ``close()`` in a
+    forked child is a no-op, and the resource tracker covers a
+    SIGKILLed owner.
     """
 
     def __init__(self, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> None:
@@ -222,20 +228,9 @@ class CstArena:
         self._segments: list[shared_memory.SharedMemory] = []
         self._cursor = 0
         self._owner_pid = os.getpid()
-        #: ``id(cst) -> (cst, descriptor)``; the strong reference
-        #: prevents id reuse from aliasing two different CSTs.
-        self._descriptors: dict[int, tuple[Any, Any]] = {}
-        #: ``id(array) -> (array, ref)``: partitions emitted by
-        #: Algorithm 2 share the root CST's arrays by reference where
-        #: they keep them whole (see ``cst/partition.py``), so each
-        #: distinct buffer is placed exactly once no matter how many
-        #: partitions carry it. Strong refs again guard against id
-        #: reuse.
-        self._placed: dict[int, tuple[Any, ArrayRef]] = {}
-        #: ``(id(query), id(tree), tree_only) -> (query, tree, ref)``:
-        #: one pickled header blob per distinct query/tree pair, shared
-        #: by every partition descriptor of the run.
-        self._headers: dict[tuple[int, int, bool], tuple[Any, Any, BlobRef]] = {}
+        #: ``id(set) -> (set, ref)``; the strong reference prevents id
+        #: reuse from aliasing two different sets.
+        self._sets: dict[int, tuple[PartitionSet, SetRef]] = {}
         self.placed_bytes = 0
         self.closed = False
         _LIVE_ARENAS.append(self)
@@ -249,24 +244,10 @@ class CstArena:
         self._cursor = 0
         _ATTACHED[seg.name] = seg.buf
 
-    def place(self, arr: np.ndarray) -> ArrayRef:
-        """Copy ``arr`` into the arena once; returns its
-        :class:`ArrayRef`. Placements are memoized by array identity,
-        so a buffer shared by many partitions occupies the arena once.
-        """
+    def _reserve(self, nbytes: int) -> tuple[shared_memory.SharedMemory, int]:
+        """An aligned ``nbytes`` slot: its segment and offset."""
         if self.closed:
             raise RuntimeError("CstArena is closed")
-        key = id(arr)
-        hit = self._placed.get(key)
-        if hit is not None and hit[0] is arr:
-            return hit[1]
-        source = arr
-        arr = np.ascontiguousarray(arr, dtype=np.int64)
-        if arr.size == 0:
-            ref = ArrayRef("", 0, tuple(arr.shape))
-            self._placed[key] = (source, ref)
-            return ref
-        nbytes = arr.nbytes
         pad = (-self._cursor) % _ALIGN
         if (
             not self._segments
@@ -274,78 +255,40 @@ class CstArena:
         ):
             self._grow(nbytes)
             pad = 0
-        seg = self._segments[-1]
         offset = self._cursor + pad
+        self._cursor = offset + nbytes
+        self.placed_bytes += nbytes
+        return self._segments[-1], offset
+
+    def place(self, arr: np.ndarray) -> ArrayRef:
+        """Copy ``arr`` into the arena; returns its :class:`ArrayRef`."""
+        arr = np.ascontiguousarray(arr, dtype=np.int64)
+        if arr.size == 0:
+            return ArrayRef("", 0, tuple(arr.shape))
+        seg, offset = self._reserve(arr.nbytes)
         dst = np.frombuffer(
             seg.buf, dtype=np.int64, count=arr.size, offset=offset
         )
         dst[:] = arr.ravel()
-        self._cursor = offset + nbytes
-        self.placed_bytes += nbytes
-        ref = ArrayRef(seg.name, offset, tuple(arr.shape))
-        self._placed[key] = (source, ref)
-        return ref
+        return ArrayRef(seg.name, offset, tuple(arr.shape))
 
-    def _place_bytes(self, blob: bytes) -> BlobRef:
-        nbytes = len(blob)
-        pad = (-self._cursor) % _ALIGN
-        if (
-            not self._segments
-            or self._cursor + pad + nbytes > self._segments[-1].size
-        ):
-            self._grow(nbytes)
-            pad = 0
-        seg = self._segments[-1]
-        offset = self._cursor + pad
-        seg.buf[offset:offset + nbytes] = blob
-        self._cursor = offset + nbytes
-        self.placed_bytes += nbytes
-        return BlobRef(seg.name, offset, nbytes)
-
-    def header_for(self, cst: Any) -> BlobRef:
-        """The shared header blob (query, tree, tree_only) of ``cst``.
-
-        Memoized by query/tree identity: all partitions of one run
-        share their parent's query and tree objects, so the blob —
-        the dominant per-task pickle cost before this existed — is
-        placed once per run and referenced by every descriptor.
-        """
-        key = (id(cst.query), id(cst.tree), bool(cst.tree_only))
-        hit = self._headers.get(key)
-        if (
-            hit is not None
-            and hit[0] is cst.query
-            and hit[1] is cst.tree
-        ):
-            return hit[2]
-        if self.closed:
-            raise RuntimeError("CstArena is closed")
-        blob = pickle.dumps(
-            (cst.query, cst.tree, cst.tree_only),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        ref = self._place_bytes(blob)
-        self._headers[key] = (cst.query, cst.tree, ref)
-        return ref
-
-    def descriptor_for(self, cst: Any) -> Any:
-        """The (memoized) shared-memory descriptor of ``cst``."""
-        key = id(cst)
-        hit = self._descriptors.get(key)
-        if hit is not None and hit[0] is cst:
+    def place_set(self, pset: PartitionSet) -> SetRef:
+        """The (memoized) placement of every array of ``pset``."""
+        hit = self._sets.get(id(pset))
+        if hit is not None and hit[0] is pset:
             return hit[1]
-        desc = cst.to_descriptor(self)
-        self._descriptors[key] = (cst, desc)
-        return desc
+        arrays = tuple(self.place(arr) for arr in pset.arrays())
+        blob = pickle.dumps(pset.header(), protocol=pickle.HIGHEST_PROTOCOL)
+        seg, offset = self._reserve(len(blob))
+        seg.buf[offset:offset + len(blob)] = blob
+        ref = SetRef(seg.name, offset, len(blob), arrays)
+        self._sets[id(pset)] = (pset, ref)
+        return ref
 
     # -- introspection ---------------------------------------------------
 
     def segment_names(self) -> tuple[str, ...]:
         return tuple(seg.name for seg in self._segments)
-
-    @property
-    def num_segments(self) -> int:
-        return len(self._segments)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -359,9 +302,9 @@ class CstArena:
         if self.closed:
             return
         self.closed = True
-        self._descriptors.clear()
-        self._placed.clear()
-        self._headers.clear()
+        for _pset, ref in self._sets.values():
+            _SETS.pop((ref.segment, ref.offset), None)
+        self._sets.clear()
         if self in _LIVE_ARENAS:
             _LIVE_ARENAS.remove(self)
         if os.getpid() != self._owner_pid:

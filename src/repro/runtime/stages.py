@@ -42,12 +42,14 @@ from repro.common.errors import (
 from repro.costs.cpu import OpCounters
 from repro.cst.builder import build_cst
 from repro.cst.partition import (
+    MaskedCST,
     PartitionLimits,
+    PartitionSet,
     PartitionStats,
     partition_cst,
     partition_to_list,
 )
-from repro.cst.structure import CST, CstDescriptor, ENTRY_BYTES
+from repro.cst.structure import CST, ENTRY_BYTES
 from repro.cst.workload import estimate_workload
 from repro.fpga.config import FpgaConfig
 from repro.fpga.engine import FastEngine
@@ -63,6 +65,7 @@ from repro.query.spanning_tree import SpanningTree, build_bfs_tree, choose_root
 from repro.runtime.context import RunContext, StageMetrics
 from repro.runtime.executor import (
     PartitionOutcome,
+    PartitionRef,
     Task,
     dispatch_partitions,
     overlap_schedule,
@@ -101,13 +104,12 @@ class ScheduledWork:
 
     Immutable: one value is served from the stage cache to every run
     with the same key, so no run may change what the next one sees.
+    Each route's partitions are one packed set, in emission order.
     """
 
-    fpga_parts: tuple[CST, ...]
-    cpu_parts: tuple[CST, ...]
+    fpga_parts: PartitionSet
+    cpu_parts: PartitionSet
     stats: PartitionStats | None
-    #: Algorithm 3's workload estimate of each FPGA partition, in order.
-    fpga_workloads: tuple[float, ...]
     delta: float = 0.0
     #: Achieved CPU share of the total estimated workload.
     cpu_fraction: float = 0.0
@@ -241,11 +243,10 @@ def passthrough_partition_stage(
     """FAST-DRAM's degenerate partition stage: the whole CST is one
     FPGA-resident piece (card DRAM has no ``delta_S`` limit)."""
     with ctx.stage("partition") as st:
-        workload = estimate_workload(cst)
+        whole = PartitionSet.of(cst, estimate_workload(cst))
         st.note(num_partitions=1, num_splits=0, cached=False)
     return ScheduledWork(
-        fpga_parts=(cst,), cpu_parts=(), stats=None,
-        fpga_workloads=(workload,),
+        fpga_parts=whole, cpu_parts=PartitionSet(cst).pack(), stats=None,
     )
 
 
@@ -265,16 +266,12 @@ def _route_partitions(
     the arguments, which is what lets the stage memoize it.
     """
     scheduler = WorkloadScheduler(delta=delta)
-    fpga_parts: list[CST] = []
-    fpga_workloads: list[float] = []
-    cpu_parts: list[CST] = []
+    fpga_parts = PartitionSet(cst)
+    cpu_parts = PartitionSet(cst)
 
-    def sink(part: CST, workload: float) -> None:
-        if scheduler.assign(part, workload) == "cpu":
-            cpu_parts.append(part)
-        else:
-            fpga_parts.append(part)
-            fpga_workloads.append(workload)
+    def sink(node: MaskedCST, workload: float) -> None:
+        route = scheduler.assign(node, workload)
+        (cpu_parts if route == "cpu" else fpga_parts).add(node)
 
     stats = partition_cst(
         cst, order, limits, sink,
@@ -283,10 +280,9 @@ def _route_partitions(
         split_policy=split_policy,
     )
     return ScheduledWork(
-        fpga_parts=tuple(fpga_parts),
-        cpu_parts=tuple(cpu_parts),
+        fpga_parts=fpga_parts.pack(),
+        cpu_parts=cpu_parts.pack(),
         stats=stats,
-        fpga_workloads=tuple(fpga_workloads),
         delta=delta,
         cpu_fraction=scheduler.cpu_fraction,
     )
@@ -407,13 +403,14 @@ def _attempt_partition(
     core: SupervisorCore,
     engine: FastEngine,
     link: PcieLink,
-    part: CST,
+    parts: PartitionSet,
+    member: int,
     scope: tuple,
     match_plan: MatchPlan,
     collect_results: bool,
 ) -> tuple[KernelReport | None, float, float, float, list[FaultEvent],
            str | None]:
-    """One partition under the retry policy.
+    """Partition ``member`` of ``parts`` under the retry policy.
 
     Each attempt replays the full launch sequence (device check, PCIe
     transfer, kernel) against the fault plan; transient errors back
@@ -443,15 +440,15 @@ def _attempt_partition(
                 raise FAULT_ERRORS["device_unavailable"](
                     f"device unavailable at {scope}"
                 )
-            cost = link.send_to_card(part.size_bytes())
+            cost = link.send_to_card(parts.size_bytes[member])
             pcie += cost
             if attempt < fires["pcie_error"]:
                 raise FAULT_ERRORS["pcie_error"](
                     f"DMA transfer failed at {scope}"
                 )
-            report = engine.run(
-                part, collect_results=collect_results, plan=match_plan
-            )
+            report = engine.run_many(
+                parts, [member], match_plan, collect_results
+            )[0]
             if attempt < fires["kernel_timeout"]:
                 overhead += report.seconds
                 raise FAULT_ERRORS["kernel_timeout"](
@@ -486,7 +483,7 @@ def _tightened_subpartitions(
     part: CST,
     order: tuple[int, ...],
     limits: PartitionLimits,
-) -> tuple[list[CST], PartitionStats] | None:
+) -> tuple[PartitionSet, PartitionStats] | None:
     """Re-split a failed partition under a halved ``delta_S``.
 
     Smaller pieces shorten kernel residency, so a partition that keeps
@@ -524,17 +521,18 @@ def _is_clean(core: SupervisorCore, scope: tuple, ladder_replay: dict) -> bool:
 
 
 def _run_cpu_partition(
-    ref: CST | CstDescriptor, order: tuple[int, ...]
+    ref: PartitionRef, order: tuple[int, ...]
 ) -> tuple[list[tuple[int, ...]], CpuMatchCounters]:
-    """Host matcher over one CPU-share (or fallback) partition — the
-    CPU task of the execute stage.
+    """Host matcher over the one member of ``ref``, a CPU-share (or
+    fallback) partition — the CPU task of the execute stage.
 
     Counters are private to the task and merged by the caller in
     partition order; integer sums are order-independent, so the
     modeled CPU-share seconds are identical to the old serial loop.
     """
     counters = CpuMatchCounters()
-    found = cst_embeddings(resolve_partition(ref), order, counters=counters)
+    part = resolve_partition(ref)[ref.members[0]]
+    found = cst_embeddings(part, order, counters=counters)
     return found, counters
 
 
@@ -545,12 +543,14 @@ def _supervise_partition(
     limits: PartitionLimits | None,
     collect_results: bool,
     ladder_replay: dict,
-    part: CST,
+    parts: PartitionSet,
+    member: int,
     idx: int,
     journal_append: Callable[[dict], Any] | None = None,
 ) -> PartitionOutcome:
-    """Degradation ladder for one FPGA partition of a window
-    (:func:`_run_window`), inline or in a pool worker.
+    """Degradation ladder for FPGA partition ``idx``, member ``member``
+    of ``parts``, in a window (:func:`_run_window`), inline or in a
+    pool worker.
 
     ``core`` is the extracted, picklable
     :class:`~repro.runtime.faults.SupervisorCore`. Fault decisions and
@@ -587,9 +587,9 @@ def _supervise_partition(
                         trace_modules=core.trace_modules)
     link = PcieLink(core.fpga)
     out = PartitionOutcome()
-    stack: list[tuple[CST, tuple, bool]] = [(part, ("partition", idx), True)]
+    stack = [(parts, member, ("partition", idx), True)]
     while stack:
-        cur, scope, may_repartition = stack.pop()
+        cur, m, scope, may_repartition = stack.pop()
         replayed = ladder_replay.get(scope)
         if replayed is not None:
             # The journal already saw this scope exhaust its retries:
@@ -604,7 +604,7 @@ def _supervise_partition(
         else:
             report, pcie, overhead, backoff, events, last_kind = (
                 _attempt_partition(
-                    core, engine, link, cur, scope,
+                    core, engine, link, cur, m, scope,
                     match_plan, collect_results,
                 )
             )
@@ -621,7 +621,7 @@ def _supervise_partition(
             continue
         split = None
         if may_repartition and limits is not None:
-            split = _tightened_subpartitions(cur, order, limits)
+            split = _tightened_subpartitions(cur[m], order, limits)
         if replayed is None:
             # Write-ahead: the rung decision is durable (or queued for
             # the parent's result-merge append) before the
@@ -657,8 +657,8 @@ def _supervise_partition(
             out.overhead_seconds += host_cost
             out.host_overhead_seconds += host_cost
             out.segments.append((pcie, overhead))
-            for j, sub in reversed(list(enumerate(subparts))):
-                stack.append((sub, (*scope, j), False))
+            for j in reversed(range(len(subparts))):
+                stack.append((subparts, j, (*scope, j), False))
             continue
         out.events.append(FaultEvent(
             kind=last_kind, scope=scope,
@@ -666,7 +666,7 @@ def _supervise_partition(
             device=core.device,
         ))
         out.segments.append((pcie, overhead))
-        out.fallbacks.append(_run_cpu_partition(cur, order))
+        out.fallbacks.append(_run_cpu_partition(PartitionRef(cur, (m,)), order))
     return out
 
 
@@ -677,15 +677,16 @@ def _run_window(
     limits: PartitionLimits | None,
     collect_results: bool,
     ladder_replay: dict,
-    refs: tuple[CST | CstDescriptor, ...],
+    ref: PartitionRef,
     idxs: tuple[int, ...],
     journal_append: Callable[[dict], Any] | None = None,
 ) -> list[PartitionOutcome]:
     """One window of a device queue: the FPGA task of the execute stage.
 
-    ``refs`` are consecutive pending partitions of one queue, with
-    their indices in ``idxs``. The clean ones (:func:`_is_clean`)
-    launch together in one :meth:`FastEngine.run_many` call; each gets
+    ``ref``'s members are consecutive pending partitions of one queue,
+    read in place from the run's FPGA set, with their partition indices
+    in ``idxs``. The clean ones (:func:`_is_clean`) launch together in
+    one :meth:`FastEngine.run_many` call; each gets
     the outcome the ladder gives one clean attempt: one transfer, one
     ``(pcie, kernel)`` segment and no fault events. Reports equal
     single launches field for field, so the outcomes do too. Every
@@ -694,7 +695,7 @@ def _run_window(
     ``journal_append`` is picklable, so the task runs inline and in
     pool workers alike.
     """
-    parts = [resolve_partition(ref) for ref in refs]
+    parts = resolve_partition(ref)
     clean = [
         k for k, i in enumerate(idxs)
         if _is_clean(core, ("partition", i), ladder_replay)
@@ -702,11 +703,11 @@ def _run_window(
     engine = FastEngine(core.fpga, core.engine_variant,
                         trace_modules=core.trace_modules)
     link = PcieLink(core.fpga)
-    reports = engine.run_many([parts[k] for k in clean], match_plan,
-                              collect_results)
+    reports = engine.run_many(parts, [ref.members[k] for k in clean],
+                              match_plan, collect_results)
     outcomes: dict[int, PartitionOutcome] = {}
     for k, report in zip(clean, reports):
-        pcie = link.send_to_card(parts[k].size_bytes())
+        pcie = link.send_to_card(parts.size_bytes[ref.members[k]])
         outcomes[k] = PartitionOutcome(
             reports=[report],
             segments=[(pcie, report.seconds + 0.0)],
@@ -715,7 +716,7 @@ def _run_window(
     return [
         outcomes[k] if k in outcomes else _supervise_partition(
             core, order, match_plan, limits, collect_results,
-            ladder_replay, parts[k], i, journal_append,
+            ladder_replay, parts, ref.members[k], i, journal_append,
         )
         for k, i in enumerate(idxs)
     ]
@@ -831,8 +832,8 @@ def execute_stage(
         outcomes: dict[int, PartitionOutcome] = {}
         cpu_done: dict[int, tuple[list, CpuMatchCounters]] = {}
         if journal is not None:
-            total_bytes = sum(
-                p.size_bytes() for p in (*work.fpga_parts, *work.cpu_parts)
+            total_bytes = sum(work.fpga_parts.size_bytes) + sum(
+                work.cpu_parts.size_bytes
             )
             # The placement joins the fingerprint wherever it is not
             # simply everything on the context's device.
@@ -875,10 +876,11 @@ def execute_stage(
         # (flat pcie + kernel + fault overhead, on top of the modeled
         # time of the earlier stages); the slowest device's prefix
         # counts, as the makespan does. Prefix costs are fixed by the
-        # queues, not by completion order, so whether a run is
-        # cancelled — though not which extra partitions the pool
-        # happened to finish — is identical at any worker count.
-        # Every checked outcome is already journaled, so a cancelled
+        # queues, not by completion order, and the budget is checked
+        # after each single advance, so whether a run is cancelled,
+        # and on one device at which prefix — though not which extra
+        # partitions the pool happened to finish — is identical at
+        # any worker count. Every checked outcome is already journaled, so a cancelled
         # run's journal resumes bit-identically.
         token = ctx.cancellation
         base_modeled = ctx.current_metrics.modeled_seconds
@@ -886,6 +888,9 @@ def execute_stage(
         deadline_prefix = [[0, base_modeled] for _ in active]
 
         def check_deadline() -> None:
+            # Checked after every single advance: on one device, the
+            # budget runs out at the same prefix whatever order windows
+            # land in. (A prefix of 0 is the stage-entry check.)
             if token is None:
                 return
             for dq, prefix in zip(active, deadline_prefix):
@@ -900,12 +905,11 @@ def execute_stage(
                         + out.overhead_seconds
                     )
                     prefix[0] += 1
-            token.check(
-                max((cost for _, cost in deadline_prefix),
-                    default=base_modeled),
-                "execute partition prefix "
-                f"{sum(done for done, _ in deadline_prefix)}",
-            )
+                    token.check(
+                        max(cost for _, cost in deadline_prefix),
+                        "execute partition prefix "
+                        f"{sum(done for done, _ in deadline_prefix)}",
+                    )
 
         check_deadline()  # a replayed prefix may already exceed it
 
@@ -958,12 +962,13 @@ def execute_stage(
         tasks: list[Task] = [
             (_run_window,
              (core, plan.order, plan.match_plan, limits, collect_results,
-              ladder_replay, tuple(work.fpga_parts[i] for i in window),
+              ladder_replay, PartitionRef(work.fpga_parts, window),
               window, journal_append))
             for core, window in windows
         ]
         tasks += [
-            (_run_cpu_partition, (work.cpu_parts[j], plan.order))
+            (_run_cpu_partition,
+             (PartitionRef(work.cpu_parts, (j,)), plan.order))
             for j in pending_cpu
         ]
 

@@ -89,9 +89,10 @@ DATASET_RESIDENCY = 4
 
 #: Recycle the server's shared-memory CST arena once this many placed
 #: bytes accumulate. A long-lived process-pool server reuses one arena
-#: across coalesced batches (resident CSTs keep their descriptors, so
-#: repeat batches place nothing new); the cap bounds /dev/shm growth
-#: from dataset churn — recycling just re-places on the next batch.
+#: across coalesced batches (resident partition sets keep their
+#: placements, so repeat batches place nothing new); the cap bounds
+#: /dev/shm growth from dataset churn — recycling just re-places on
+#: the next batch.
 ARENA_RECYCLE_BYTES = 256 << 20
 
 
@@ -577,9 +578,9 @@ class MatchServer:
     def _shared_arena(self) -> CstArena | None:
         """The server's long-lived CST arena (``workers > 1`` only).
 
-        One arena spans every job and batch, so a resident CST's
-        shared-memory descriptors are placed once and reused by every
-        coalesced batch that hits the stage cache. Recycled (unlinked
+        One arena spans every job and batch, so a resident partition
+        set is placed once and reused by every coalesced batch that
+        hits the stage cache. Recycled (unlinked
         and re-created) once :data:`ARENA_RECYCLE_BYTES` accumulate —
         safe between jobs, since the server runs batches serially.
         """

@@ -15,6 +15,7 @@ from repro.common.errors import PartitionError
 from repro.cst.builder import build_cst
 from repro.cst.partition import (
     PartitionLimits,
+    PartitionSet,
     partition_cst,
     partition_to_list,
 )
@@ -42,6 +43,17 @@ def make_cst(query_name, data):
 def fits(limits: PartitionLimits, cst) -> bool:
     return (cst.size_bytes() <= limits.max_bytes
             and cst.max_candidate_degree() <= limits.max_degree)
+
+
+def assert_same_cst(got, want) -> None:
+    """Equal candidates and adjacency CSR arrays, edge for edge."""
+    for g, w in zip(got.candidates, want.candidates, strict=True):
+        assert np.array_equal(g, w)
+    assert list(got.adjacency) == list(want.adjacency)
+    for edge, adj in got.adjacency.items():
+        assert np.array_equal(adj.indptr, want.adjacency[edge].indptr)
+        assert np.array_equal(adj.targets, want.adjacency[edge].targets)
+    assert got.size_bytes() == want.size_bytes()
 
 
 def tight_limits(cst) -> PartitionLimits:
@@ -158,17 +170,26 @@ class TestPartition:
         cst, order = make_cst("q6", micro_graph)
         limits = tight_limits(cst)
         offered: list[float] = []
-        handed: list = []
+        handed: list[float] = []
+        parts = PartitionSet(cst)
+
+        def sink(node, workload):
+            handed.append(workload)
+            parts.add(node)
+
         stats = partition_cst(
-            cst, order, limits, lambda p, w: handed.append((p, w)),
+            cst, order, limits, sink,
             intercept=lambda w: offered.append(w) or True,
         )
+        parts.pack()
         # The first violating CST - the root - is consumed whole and
         # handed to the sink with its workload; nothing is split.
         assert offered == [estimate_workload(cst)]
-        assert len(handed) == 1
-        assert handed[0][0] is cst
-        assert handed[0][1] == offered[0]
+        assert handed == offered
+        assert len(parts) == 1
+        assert parts.workloads == offered
+        assert parts.size_bytes == [cst.size_bytes()]
+        assert_same_cst(parts[0], cst)
         assert stats.num_splits == 0
         assert stats.num_partitions == 0
         assert stats.total_bytes == 0
@@ -177,26 +198,21 @@ class TestPartition:
         cst, order = make_cst("q1", micro_graph)
         limits = tight_limits(cst)
         baseline, base_stats = partition_to_list(cst, order, limits)
-        parts: list = []
+        parts = PartitionSet(cst)
         offered: list[float] = []
         stats = partition_cst(
-            cst, order, limits, lambda p, _w: parts.append(p),
+            cst, order, limits, lambda node, _w: parts.add(node),
             intercept=lambda w: offered.append(w) or False,
         )
+        parts.pack()
         # Every oversized CST is offered (again after each singleton
         # advance); declining all yields exactly the baseline.
         assert len(offered) >= base_stats.num_splits > 0
         assert stats == base_stats
         assert len(parts) == len(baseline)
-        for part, base in zip(parts, baseline):
-            for u in range(cst.query.num_vertices):
-                assert np.array_equal(part.candidates[u], base.candidates[u])
-            assert part.adjacency.keys() == base.adjacency.keys()
-            for edge, adj in part.adjacency.items():
-                assert np.array_equal(adj.indptr, base.adjacency[edge].indptr)
-                assert np.array_equal(
-                    adj.targets, base.adjacency[edge].targets
-                )
+        assert parts.size_bytes == baseline.size_bytes
+        for part, base in zip(parts, baseline, strict=True):
+            assert_same_cst(part, base)
 
     def test_tree_only_partitions_keep_flag(self, micro_graph):
         # q8 has non-tree edges, which a tree-only index does not
@@ -243,28 +259,34 @@ class TestPartition:
         scheduler = WorkloadScheduler(delta=delta)
         taken: list[bool] = []
         handed: list[tuple] = []
+        parts = PartitionSet(cst)
 
         def intercept(workload: float) -> bool:
             take = scheduler.would_accept_cpu(workload)
             taken.append(take)
             return take
 
-        def sink(part, workload: float) -> None:
+        def sink(node, workload: float) -> None:
             # The sink right after an accepted offer gets that CST.
-            handed.append((part, workload, bool(taken) and taken[-1]))
+            handed.append((workload, bool(taken) and taken[-1]))
             if taken:
                 taken[-1] = False
-            scheduler.assign(part, workload)
+            scheduler.assign(node, workload)
+            parts.add(node)
 
         stats = partition_cst(
             cst, order, limits, sink, k_policy=k_policy,
             intercept=intercept if delta > 0 else None,
             split_policy=split_policy,
         )
-        emitted = [part for part, _w, took in handed if not took]
-        for part, workload, took in handed:
+        parts.pack()
+        assert parts.workloads == [workload for workload, _took in handed]
+        emitted = [part for part, (_w, took) in zip(parts, handed)
+                   if not took]
+        for p, (part, (workload, took)) in enumerate(zip(parts, handed)):
             part.check_consistency()
             assert workload == estimate_workload(part)
+            assert parts.size_bytes[p] == part.size_bytes()
             if not took:
                 assert fits(limits, part)
         assert stats.num_partitions == len(emitted)

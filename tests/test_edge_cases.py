@@ -98,7 +98,7 @@ class TestNoMatchWorkloads:
         parts, stats = partition_to_list(
             cst, (0, 1), PartitionLimits(max_bytes=10, max_degree=1)
         )
-        assert parts == []
+        assert len(parts) == 0
         assert stats.num_empty_skipped == 1
 
 

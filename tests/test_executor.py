@@ -430,6 +430,45 @@ class TestLockstepInline:
         assert records[1] == records[2]
         assert 0 < len(records[1]) < execute["num_csts"]
 
+    def test_cancellation_prefix_ignores_window_landing_order(
+        self, dataset, monkeypatch,
+    ):
+        """Windows that land out of queue order cancel at the in-order
+        partition prefix, because the budget is checked after each
+        single advance of the prefix. A dispatcher stub runs the four
+        windows of ``workers`` 4 and delivers them in queue order, then
+        in reverse; the budget lands inside the execute stage."""
+        query = get_query("q2").graph
+        baseline = REGISTRY.run("fast-share", query, dataset.graph,
+                                ctx=RunContext(fpga=STRESS_FPGA))
+        execute = baseline.metrics["stages"]["execute"]
+        budget = baseline.seconds - 0.3 * execute["modeled_seconds"]
+
+        def landing(order):
+            def dispatch(ctx, tasks, on_result):
+                results = [fn(*args) for fn, args in tasks]
+                for i in order(range(len(tasks))):
+                    on_result(i, results[i])
+                return {"pool": "inline", "cst_plane": "local"}
+            return dispatch
+
+        messages = {}
+        for name, order in (("in order", list), ("reversed", reversed)):
+            monkeypatch.setattr(stages, "dispatch_partitions", landing(order))
+            ctx = RunContext(
+                fpga=STRESS_FPGA, executor=ExecutorConfig(workers=4),
+                cancellation=CancellationToken(budget),
+            )
+            try:
+                with pytest.raises(DeadlineExceededError,
+                                   match="execute partition prefix") as out:
+                    REGISTRY.run("fast-share", query, dataset.graph,
+                                 ctx=ctx)
+            finally:
+                ctx.close()
+            messages[name] = str(out.value)
+        assert messages["reversed"] == messages["in order"]
+
     def test_deadline_stops_within_one_window(
         self, dataset, tmp_path, monkeypatch,
     ):
@@ -440,9 +479,9 @@ class TestLockstepInline:
         launched = []
         launch_many = FastEngine.run_many
 
-        def spy(self, parts, *args, **kwargs):
-            launched.append(len(parts))
-            return launch_many(self, parts, *args, **kwargs)
+        def spy(self, parts, members, *args, **kwargs):
+            launched.append(len(members))
+            return launch_many(self, parts, members, *args, **kwargs)
 
         monkeypatch.setattr(FastEngine, "run_many", spy)
         monkeypatch.setattr(FastEngine, "lockstep_window",

@@ -20,8 +20,13 @@ from repro.common.errors import (
     PartitionError,
 )
 from repro.cst.builder import build_cst
-from repro.cst.partition import PartitionLimits, partition_to_list
-from repro.cst.structure import CST, CandidateAdjacency
+from repro.cst.partition import (
+    FlatCST,
+    MaskedCST,
+    PartitionLimits,
+    PartitionSet,
+    partition_cst,
+)
 from repro.fpga import engine as engine_module
 from repro.fpga.config import FpgaConfig
 from repro.fpga.cycles import l_basic, l_sep, l_task
@@ -183,19 +188,37 @@ class TestEngineApi:
         assert rep.rounds > 0
 
 
-def emptied(cst: CST) -> CST:
-    """A partition of the same query with no candidates at all."""
-    return CST(
-        query=cst.query,
-        tree=cst.tree,
-        candidates=[c[:0] for c in cst.candidates],
-        adjacency={
-            edge: CandidateAdjacency(
-                np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64),
-            )
-            for edge in cst.adjacency
-        },
-    )
+def partition_set(cst, order, limits) -> PartitionSet:
+    """Algorithm 2's partitions of ``cst`` packed into one set, with a
+    partition that keeps no candidates at all at index 1 (``cst``
+    whole at index 0 when the limits are infeasible)."""
+    flat = FlatCST(cst)
+    empty = MaskedCST(flat, np.zeros(flat.voff[-1], dtype=bool),
+                      np.empty(0, dtype=np.int64))
+    parts = PartitionSet(cst)
+
+    def sink(node, _workload):
+        parts.add(node)
+        if len(parts) == 1:
+            parts.add(empty)
+
+    try:
+        partition_cst(cst, order, limits, sink)
+    except PartitionError:
+        parts = PartitionSet(cst)
+        sink(flat.root(), 0.0)
+    return parts.pack()
+
+
+#: Member lists of a set of ``n`` partitions, the empty one at 1:
+#: contiguous, non-contiguous and out of order, with and without it.
+MEMBERS = {
+    "all": lambda n: list(range(n)),
+    "tail": lambda n: list(range(2, n)) or [0],
+    "even": lambda n: list(range(0, n, 2)),
+    "odd": lambda n: list(range(1, n, 2)),
+    "reversed": lambda n: list(range(n))[::-1],
+}
 
 
 class TestLockstep:
@@ -214,16 +237,17 @@ class TestLockstep:
         window_bytes=st.sampled_from(
             [1, engine_module.SLOT_BYTES_PER_WINDOW]
         ),
+        members=st.sampled_from(sorted(MEMBERS)),
     )
     def test_run_many_equals_single_launches(
         self, data_seed, query_seed, query_size, batch, bram_share,
-        slr_penalty, variant, trace, collect, tail, window_bytes,
+        slr_penalty, variant, trace, collect, tail, window_bytes, members,
     ):
         """Every lockstep report equals its partition's own launch,
-        field for field, on any partitioning and any small device.
-        A scalar tail of 0 keeps every round in the segmented passes,
-        one-member groups included; 1-byte windows hold one partition
-        each."""
+        field for field, on any partitioning, any small device and any
+        members of one set. A scalar tail of 0 keeps every round in
+        the segmented passes, one-member groups included; 1-byte
+        windows hold one partition each."""
         data = random_labeled_graph(40, 160, 3, seed=data_seed)
         query = random_connected_query(
             query_size, min(query_size * (query_size - 1) // 2,
@@ -236,11 +260,8 @@ class TestLockstep:
             max_bytes=max(64, cst.size_bytes() // bram_share),
             max_degree=max(2, cst.max_candidate_degree() // 2),
         )
-        try:
-            parts, _ = partition_to_list(cst, order, limits)
-        except PartitionError:
-            parts = [cst]
-        parts.insert(len(parts) // 2, emptied(cst))
+        parts = partition_set(cst, order, limits)
+        chosen = MEMBERS[members](len(parts))
         half = max(1, cst.size_bytes() // (2 * bram_share))
         cfg = FpgaConfig(
             batch_size=batch, bram_bytes=2 * half,
@@ -251,10 +272,11 @@ class TestLockstep:
         plan = build_plan(cst.query, order)
         with mock.patch.multiple(engine_module, SCALAR_TAIL=tail,
                                  SLOT_BYTES_PER_WINDOW=window_bytes):
-            many = [asdict(r) for r in engine.run_many(parts, plan, collect)]
+            many = [asdict(r) for r in engine.run_many(parts, chosen, plan,
+                                                       collect)]
         assert many == [
-            asdict(engine.run(p, plan=plan, collect_results=collect))
-            for p in parts
+            asdict(engine.run(parts[m], plan=plan, collect_results=collect))
+            for m in chosen
         ]
 
     def test_slot_written_while_non_empty_raises(self):

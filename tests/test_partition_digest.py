@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 import repro.host.runtime as host_runtime
+from repro.cst.structure import CST
 from repro.experiments.harness import HarnessConfig, make_context, tight_config
 from repro.fpga.config import FpgaConfig
 from repro.fpga.engine import FastEngine
@@ -185,8 +186,8 @@ def test_kernel_report_digest(case, graphs, monkeypatch):
         reports.append(report_items(report))
         return report
 
-    def capture_many(self, *args, **kwargs):
-        batch = launch_many(self, *args, **kwargs)
+    def capture_many(self, parts, members, *args, **kwargs):
+        batch = launch_many(self, parts, members, *args, **kwargs)
         reports.extend(report_items(report) for report in batch)
         return batch
 
@@ -265,9 +266,10 @@ def test_multi_fpga_digest(case, graphs):
 
 
 def test_partitions_freed_without_gc(graphs):
-    """Dropping a ``ScheduledWork`` frees its partitions by reference
-    counting alone: no reference cycle keeps a run's partitions alive
-    until the next full collection (a memory leak under load)."""
+    """Dropping a ``ScheduledWork`` frees its partition sets by
+    reference counting alone: no reference cycle keeps a run's
+    partitions alive until the next full collection (a memory leak
+    under load)."""
     ctx = make_context(
         HarnessConfig(fpga=SHATTER, delta=0.1, stage_cache=False)
     )
@@ -279,8 +281,39 @@ def test_partitions_freed_without_gc(graphs):
     try:
         work = partition_stage(ctx, data, cst, plan, limits, delta=0.1)
         assert work.stats.num_splits > 0 and work.cpu_parts
-        part = weakref.ref(work.fpga_parts[-1])
+        parts = weakref.ref(work.fpga_parts)
+        assert len(parts()) and work.fpga_parts.adjacency
         del work
-        assert part() is None
+        assert parts() is None
     finally:
         gc.enable()
+
+
+def test_one_partition_layout(graphs, monkeypatch):
+    """A clean inline ``shatter`` op builds no CST per partition after
+    Algorithm 1: the kernel reads the packed FPGA set in place, and only
+    the CPU matcher builds a partition's own CST, once per CPU-share
+    partition."""
+    built = []
+    init = CST.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    captured = []
+    stage = host_runtime.partition_stage
+
+    def capture(*args, **kwargs):
+        built.clear()  # count from the partition stage on
+        captured.append(stage(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(CST, "__init__", counting_init)
+    monkeypatch.setattr(host_runtime, "partition_stage", capture)
+    ctx = make_context(HarnessConfig(fpga=SHATTER, use_cache=False))
+    REGISTRY.run("fast-share", get_query("q1").graph, graphs["DG-MINI"],
+                 ctx=ctx)
+    work = captured[-1]
+    assert len(work.fpga_parts) > 1000 and len(work.cpu_parts) > 0
+    assert len(built) <= len(work.cpu_parts)

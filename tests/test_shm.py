@@ -2,12 +2,14 @@
 
 Two properties carry the whole design:
 
-* **Descriptor round-trips are exact.** ``CST.from_descriptor(
-  CST.to_descriptor(arena))`` preserves candidates, adjacency CSR
-  content, ``size_bytes()``, and ``row_lens_array()`` bit-for-bit —
-  including empty candidate sets and single-vertex partitions — so a
-  process worker computes on precisely the structure the parent
-  partitioned (hypothesis-tested over random graphs and queries).
+* **Placed sets round-trip exactly.** ``arena.place_set(pset).load()``
+  preserves every array of a partition set (offsets, candidates,
+  adjacency CSR), its sizes and workloads, and so every partition's
+  own CST, bit for bit, as read-only zero-copy views — including
+  empty partitions and single-vertex queries — so a process worker
+  computes on precisely the structure the parent partitioned
+  (hypothesis-tested over random graphs and queries). A set is placed
+  once, however often it is dispatched.
 * **Segments never leak.** The arena unlinks its ``/dev/shm`` entries
   on normal close, on exceptions mid-execute, at interpreter exit via
   the atexit guard, and — through the ``multiprocessing`` resource
@@ -32,14 +34,21 @@ from hypothesis import strategies as st
 
 from repro.common.errors import DeadlineExceededError
 from repro.cst.builder import build_cst
-from repro.cst.partition import PartitionLimits, partition_to_list
-from repro.cst.structure import CST, CandidateAdjacency
+from repro.cst.partition import (
+    FlatCST,
+    MaskedCST,
+    PartitionLimits,
+    PartitionSet,
+    partition_to_list,
+)
+from repro.cst.structure import CST
 from repro.fpga.config import FpgaConfig
 from repro.graph.generators import (
     random_connected_query,
     random_labeled_graph,
 )
 from repro.graph.graph import Graph
+from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import get_query
 from repro.query.ordering import path_based_order
 from repro.query.query_graph import as_query
@@ -77,32 +86,44 @@ def segment_exists(name: str) -> bool:
     return True
 
 
-def assert_roundtrip_exact(cst: CST, arena: CstArena) -> CST:
-    """Round-trip ``cst`` through ``arena`` and assert exact equality."""
-    back = CST.from_descriptor(arena.descriptor_for(cst))
-    # The query/tree header crosses the boundary as one shared pickled
-    # blob, so the reconstruction is an equal copy, not the same object.
-    assert np.array_equal(back.query.graph.indptr, cst.query.graph.indptr)
+def assert_cst_equal(got: CST, want: CST) -> None:
+    for g, w in zip(got.candidates, want.candidates, strict=True):
+        assert g.dtype == np.int64
+        assert np.array_equal(g, w)
+    assert list(got.adjacency) == list(want.adjacency)
+    for edge, w in want.adjacency.items():
+        g = got.adjacency[edge]
+        assert np.array_equal(g.indptr, w.indptr)
+        assert np.array_equal(g.targets, w.targets)
+        assert np.array_equal(g.row_lens_array(), w.row_lens_array())
+    assert got.size_bytes() == want.size_bytes()
+    assert got.max_candidate_degree() == want.max_candidate_degree()
+
+
+def assert_roundtrip_exact(pset: PartitionSet,
+                           arena: CstArena) -> PartitionSet:
+    """Round-trip ``pset`` through ``arena`` and assert exact equality."""
+    back = arena.place_set(pset).load()
+    # The header crosses the boundary as one pickled blob, so the
+    # reconstruction is an equal copy, not the same object.
+    assert np.array_equal(back.query.graph.indptr, pset.query.graph.indptr)
     assert np.array_equal(back.query.graph.indices,
-                          cst.query.graph.indices)
-    assert np.array_equal(back.query.graph.labels, cst.query.graph.labels)
-    assert back.tree.root == cst.tree.root
-    assert back.tree.parent == cst.tree.parent
-    assert back.tree.bfs_order == cst.tree.bfs_order
-    assert back.tree_only == cst.tree_only
-    assert len(back.candidates) == len(cst.candidates)
-    for got, want in zip(back.candidates, cst.candidates):
+                          pset.query.graph.indices)
+    assert np.array_equal(back.query.graph.labels, pset.query.graph.labels)
+    assert back.tree.root == pset.tree.root
+    assert back.tree.parent == pset.tree.parent
+    assert back.tree.bfs_order == pset.tree.bfs_order
+    assert back.tree_only == pset.tree_only
+    assert back.edges == pset.edges
+    assert back.size_bytes == pset.size_bytes
+    assert back.workloads == pset.workloads
+    for got, want in zip(back.arrays(), pset.arrays(), strict=True):
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
         assert not got.flags.writeable
-    assert set(back.adjacency) == set(cst.adjacency)
-    for edge, want in cst.adjacency.items():
-        got = back.adjacency[edge]
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.targets, want.targets)
-        assert np.array_equal(got.row_lens_array(), want.row_lens_array())
-    assert back.size_bytes() == cst.size_bytes()
-    assert back.max_candidate_degree() == cst.max_candidate_degree()
+    assert len(back) == len(pset)
+    for got, want in zip(back, pset):
+        assert_cst_equal(got, want)
     return back
 
 
@@ -121,10 +142,10 @@ class TestDescriptorRoundTrip:
         cst = build_cst(query, data)
         arena = CstArena()
         try:
-            assert_roundtrip_exact(cst, arena)
-            # Every Algorithm 2 partition round-trips exactly too —
-            # partitions share the root's arrays where they keep them
-            # whole, the exact case the arena's identity memo covers.
+            assert_cst_equal(
+                assert_roundtrip_exact(PartitionSet.of(cst), arena)[0], cst
+            )
+            # Every Algorithm 2 partition round-trips exactly too.
             order = path_based_order(cst.tree, data)
             limits = PartitionLimits(
                 max_bytes=max(cst.size_bytes() // 4, 64),
@@ -133,34 +154,27 @@ class TestDescriptorRoundTrip:
             try:
                 parts, _ = partition_to_list(cst, order, limits)
             except Exception:
-                parts = [cst]
-            for part in parts:
-                assert_roundtrip_exact(part, arena)
+                return
+            assert_roundtrip_exact(parts, arena)
         finally:
             arena.close()
 
     def test_empty_candidate_sets_round_trip(self, micro_graph):
         cst = build_cst(get_query("q1").graph, micro_graph)
-        empty = CST(
-            query=cst.query,
-            tree=cst.tree,
-            candidates=[c[:0] for c in cst.candidates],
-            adjacency={
-                edge: CandidateAdjacency(
-                    np.zeros(1, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                )
-                for edge in cst.adjacency
-            },
-        )
+        flat = FlatCST(cst)
+        pset = PartitionSet(cst)
+        pset.add(MaskedCST(flat, np.zeros(flat.voff[-1], dtype=bool),
+                           np.empty(0, dtype=np.int64)))
+        pset.pack()
         arena = CstArena()
         try:
-            back = assert_roundtrip_exact(empty, arena)
-            assert back.is_empty()
-            # Empty arrays never occupy shared memory: only the
-            # (1-element) indptr arrays get placed.
-            desc = arena.descriptor_for(empty)
-            assert all(ref.segment == "" for ref in desc.candidates)
+            back = assert_roundtrip_exact(pset, arena)
+            assert back[0].is_empty()
+            # Empty arrays never occupy shared memory: only the offsets
+            # and the (1-element) indptr arrays get placed.
+            ref = arena.place_set(pset)
+            n = cst.query.num_vertices
+            assert all(r.segment == "" for r in ref.arrays[1:1 + n])
         finally:
             arena.close()
 
@@ -179,8 +193,8 @@ class TestDescriptorRoundTrip:
         )
         arena = CstArena()
         try:
-            back = assert_roundtrip_exact(cst, arena)
-            assert back.total_candidates() == 3
+            back = assert_roundtrip_exact(PartitionSet.of(cst), arena)
+            assert back[0].total_candidates() == 3
         finally:
             arena.close()
 
@@ -188,9 +202,11 @@ class TestDescriptorRoundTrip:
         cst = build_cst(get_query("q0").graph, micro_graph)
         arena = CstArena()
         try:
-            back = CST.from_descriptor(arena.descriptor_for(cst))
+            back = arena.place_set(PartitionSet.of(cst)).load()
             with pytest.raises(ValueError):
                 back.candidates[0][0] = 1
+            with pytest.raises(ValueError):
+                back[0].candidates[0][0] = 1
             edge = next(iter(back.adjacency))
             with pytest.raises(ValueError):
                 back.adjacency[edge].targets[...] = 0
@@ -201,54 +217,51 @@ class TestDescriptorRoundTrip:
         import pickle
 
         cst = build_cst(get_query("q2").graph, micro_graph)
+        pset = PartitionSet.of(cst)
         arena = CstArena()
         try:
-            desc = arena.descriptor_for(cst)
-            payload = len(pickle.dumps(desc))
-            full = len(pickle.dumps(cst))
+            payload = len(pickle.dumps(arena.place_set(pset)))
+            full = len(pickle.dumps(pset))
             assert payload < full / 10, (payload, full)
         finally:
             arena.close()
 
 
 class TestArenaAllocation:
-    def test_place_dedupes_by_identity(self):
+    def test_place_dedupes_by_identity(self, micro_graph):
+        """A set is placed once; an equal but distinct set is a new
+        placement."""
+        cst = build_cst(get_query("q1").graph, micro_graph)
+        pset = PartitionSet.of(cst)
         arena = CstArena()
         try:
-            arr = np.arange(100, dtype=np.int64)
-            ref1 = arena.place(arr)
+            ref1 = arena.place_set(pset)
             before = arena.placed_bytes
-            ref2 = arena.place(arr)
-            assert ref2 is ref1
+            assert arena.place_set(pset) is ref1
             assert arena.placed_bytes == before
-            # An equal-but-distinct array is a distinct placement.
-            ref3 = arena.place(arr.copy())
-            assert ref3 != ref1
+            assert arena.place_set(pset.take([0])) != ref1
+            assert arena.placed_bytes > before
         finally:
             arena.close()
 
-    def test_shared_partition_arrays_place_once(self, micro_graph):
-        """Partitions share unfiltered arrays with their parent by
-        reference; the arena must materialise each buffer once."""
-        cst = build_cst(get_query("q1").graph, micro_graph)
-        order = path_based_order(cst.tree, micro_graph)
-        limits = PartitionLimits(
-            max_bytes=max(cst.size_bytes() // 8, 64), max_degree=1 << 30
-        )
-        parts, _ = partition_to_list(cst, order, limits)
-        assert len(parts) > 1
-        shared = [
-            u for u in range(cst.query.num_vertices)
-            if all(p.candidates[u] is cst.candidates[u] for p in parts)
-        ]
-        arena = CstArena()
+    def test_shared_partition_arrays_place_once(self):
+        """Every window of a pooled run reads one placement of its
+        run's sets, and a rerun served the same sets from the stage
+        cache places nothing new."""
+        ctx = RunContext(fpga=STRESS_FPGA,
+                         executor=ExecutorConfig(workers=2))
         try:
-            descs = [arena.descriptor_for(p) for p in parts]
-            for u in shared:
-                refs = {d.candidates[u] for d in descs}
-                assert len(refs) == 1
+            q = get_query("q1").graph
+            data = load_dataset("DG-MICRO").graph
+            placed = []
+            for _ in range(2):
+                out = REGISTRY.get("fast-share").run(ctx, q, data)
+                assert out.metrics["stages"]["execute"]["cst_plane"] == "shm"
+                placed.append(ctx.arena.placed_bytes)
+            assert placed[0] > 0
+            assert placed[1] == placed[0]
         finally:
-            arena.close()
+            ctx.close()
 
     def test_placements_are_aligned(self):
         arena = CstArena()
