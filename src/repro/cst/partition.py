@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.common.errors import PartitionError
 from repro.cst.structure import CST, ENTRY_BYTES, CandidateAdjacency
-from repro.cst.workload import estimate_workload, row_sums
+from repro.cst.workload import row_sums
 
 #: Hard cap on emitted partitions - a guard against thresholds so small
 #: that partitioning degenerates into per-candidate enumeration.
@@ -257,29 +257,30 @@ class PartitionSet:
     local positions, on demand (so iterating a set yields every one).
 
     Algorithm 2 fills a set through :meth:`add`, one emitted node at a
-    time; :meth:`pack` then stacks the added nodes' arrays, after which
-    the set is immutable and its arrays exist.
+    time; :meth:`pack` then stacks the added nodes' arrays and fills
+    the ``size_bytes`` and ``workloads`` tuples (empty until then),
+    after which the set is immutable.
     """
 
     def __init__(self, cst: CST) -> None:
         """An empty set for partitions of ``cst``."""
         self.query, self.tree = cst.query, cst.tree
         self.tree_only, self.edges = cst.tree_only, list(cst.adjacency)
-        self.size_bytes: list[int] = []
-        self.workloads: list[float] = []
+        self.size_bytes: tuple[int, ...] = ()
+        self.workloads: tuple[float, ...] = ()
         #: Per added node: its candidate counts, kept candidate ids,
-        #: kept rows' lengths, alive entries' local targets and alive
-        #: entries per edge, in the node's flat order. ``None`` once
-        #: packed.
+        #: kept rows' lengths, alive entries' local targets, alive
+        #: entries per edge (in the node's flat order), its size and
+        #: its workload. ``None`` once packed.
         self._pending: list[tuple] | None = []
 
     @classmethod
-    def of(cls, cst: CST, workload: float | None = None) -> PartitionSet:
-        """``cst`` as a one-member set over its own arrays."""
+    def of(cls, cst: CST, workload: float) -> PartitionSet:
+        """``cst`` as a one-member set over its own arrays, with
+        ``workload`` as its estimate."""
         return cls.from_arrays((
             cst.query, cst.tree, cst.tree_only, list(cst.adjacency),
-            [cst.size_bytes()],
-            [estimate_workload(cst) if workload is None else workload],
+            (cst.size_bytes(),), (workload,),
         ), [
             np.array([[0, len(c)] for c in cst.candidates],
                      dtype=np.int64).reshape(-1, 2),
@@ -302,19 +303,18 @@ class PartitionSet:
             node.row_lens[mask[flat.row_src]],
             rank[flat.dst[idx]] - rank[flat.dst_base[idx]],
             np.diff(node.ends[flat.roff]),
+            node.size_bytes,
+            node.workload(),
         ))
-        self.size_bytes.append(node.size_bytes)
-        self.workloads.append(node.workload())
 
     def pack(self) -> PartitionSet:
         """Stack the added nodes' arrays block-diagonally (once);
         returns the set."""
         if self._pending is None:
             return self
-        n, parts = self.query.num_vertices, len(self)
-        counts, ids, rows, targets, entries = (
-            list(zip(*self._pending)) or [()] * 5
-        )
+        n, parts = self.query.num_vertices, len(self._pending)
+        (counts, ids, rows, targets, entries, self.size_bytes,
+         self.workloads) = list(zip(*self._pending)) or [()] * 7
         counts = np.array(counts, dtype=np.int64).reshape(parts, n)
         entries = np.array(entries, dtype=np.int64).reshape(parts, len(self.edges))
         offsets = np.zeros((n, parts + 1), dtype=np.int64)

@@ -103,7 +103,8 @@ class FastEngine:
             if order is None:
                 order = tuple(cst.tree.bfs_order)
             plan = build_plan(cst.query, order)
-        return self.run_many(PartitionSet.of(cst), [0], plan,
+        # The kernel never reads a partition's workload estimate.
+        return self.run_many(PartitionSet.of(cst, 0.0), [0], plan,
                              collect_results)[0]
 
     def _rounds(

@@ -369,7 +369,7 @@ class SlotBuffers:
 
     def __init__(self, num_parts: int, num_steps: int, capacity: int,
                  root_total: np.ndarray,
-                 root_start: np.ndarray | int = 0) -> None:
+                 root_start: np.ndarray | int) -> None:
         self.capacity = capacity
         shape = (num_steps, num_parts)
         self.remaining = np.zeros(shape, dtype=np.int64)

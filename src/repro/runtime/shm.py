@@ -44,6 +44,7 @@ docs/timing_model.md).
 from __future__ import annotations
 
 import atexit
+import itertools
 import mmap
 import os
 import pickle
@@ -173,30 +174,42 @@ class ArrayRef:
         return arr
 
 
-#: Per-process cache of loaded sets, ``(segment, offset) of the header
-#: -> PartitionSet``, oldest first. A set's lazily built lookup arrays
-#: (``contains_batch`` keys, row lengths) stay warm across the windows
-#: and requests that read it; the bound caps what stale sets can hold.
-_SETS: dict[tuple[str, int], PartitionSet] = {}
-_MAX_SETS = 8
+#: Per-process cache of loaded sets, ``arena id -> (segment, offset)
+#: of the header -> PartitionSet``, for one arena at a time. A set's
+#: lazily built lookup arrays (``contains_batch`` keys, row lengths)
+#: stay warm across every window and request that reads it. A ref from
+#: another arena (a server recycles its arena) drops the cached sets,
+#: so the cache holds at most the sets one arena has placed.
+_SETS: dict[int, dict[tuple[str, int], PartitionSet]] = {}
+
+#: Arena ids, unique in the dispatching process that owns the arenas
+#: and forks the workers.
+_ARENA_IDS = itertools.count()
 
 
 @dataclass(frozen=True)
 class SetRef:
     """A picklable handle to a :class:`PartitionSet` placed in shared
     memory: a task pays bytes per array, not per element. The set's
-    pickled header is ``length`` bytes at ``offset`` of ``segment``."""
+    pickled header is ``length`` bytes at ``offset`` of ``segment``, in
+    the arena with id ``arena``."""
 
     segment: str
     offset: int
     length: int
     arrays: tuple[ArrayRef, ...]
+    arena: int
 
     def load(self) -> PartitionSet:
         """The set, rebuilt zero-copy over read-only views (once per
-        process while cached)."""
+        process while its arena is the last one this process loaded
+        from)."""
+        sets = _SETS.get(self.arena)
+        if sets is None:
+            _SETS.clear()
+            sets = _SETS[self.arena] = {}
         key = (self.segment, self.offset)
-        pset = _SETS.get(key)
+        pset = sets.get(key)
         if pset is None:
             buf = _attach(self.segment)
             header = pickle.loads(
@@ -205,9 +218,7 @@ class SetRef:
             pset = PartitionSet.from_arrays(
                 header, [ref.view() for ref in self.arrays]
             )
-            if len(_SETS) >= _MAX_SETS:
-                del _SETS[next(iter(_SETS))]
-            _SETS[key] = pset
+            sets[key] = pset
         return pset
 
 
@@ -228,6 +239,7 @@ class CstArena:
         self._segments: list[shared_memory.SharedMemory] = []
         self._cursor = 0
         self._owner_pid = os.getpid()
+        self.id = next(_ARENA_IDS)
         #: ``id(set) -> (set, ref)``; the strong reference prevents id
         #: reuse from aliasing two different sets.
         self._sets: dict[int, tuple[PartitionSet, SetRef]] = {}
@@ -281,7 +293,7 @@ class CstArena:
         blob = pickle.dumps(pset.header(), protocol=pickle.HIGHEST_PROTOCOL)
         seg, offset = self._reserve(len(blob))
         seg.buf[offset:offset + len(blob)] = blob
-        ref = SetRef(seg.name, offset, len(blob), arrays)
+        ref = SetRef(seg.name, offset, len(blob), arrays, self.id)
         self._sets[id(pset)] = (pset, ref)
         return ref
 
@@ -302,8 +314,7 @@ class CstArena:
         if self.closed:
             return
         self.closed = True
-        for _pset, ref in self._sets.values():
-            _SETS.pop((ref.segment, ref.offset), None)
+        _SETS.pop(self.id, None)
         self._sets.clear()
         if self in _LIVE_ARENAS:
             _LIVE_ARENAS.remove(self)

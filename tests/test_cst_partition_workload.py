@@ -187,8 +187,8 @@ class TestPartition:
         assert offered == [estimate_workload(cst)]
         assert handed == offered
         assert len(parts) == 1
-        assert parts.workloads == offered
-        assert parts.size_bytes == [cst.size_bytes()]
+        assert parts.workloads == tuple(offered)
+        assert parts.size_bytes == (cst.size_bytes(),)
         assert_same_cst(parts[0], cst)
         assert stats.num_splits == 0
         assert stats.num_partitions == 0
@@ -280,7 +280,7 @@ class TestPartition:
             split_policy=split_policy,
         )
         parts.pack()
-        assert parts.workloads == [workload for workload, _took in handed]
+        assert parts.workloads == tuple(w for w, _took in handed)
         emitted = [part for part, (_w, took) in zip(parts, handed)
                    if not took]
         for p, (part, (workload, took)) in enumerate(zip(parts, handed)):

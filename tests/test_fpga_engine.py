@@ -282,7 +282,7 @@ class TestLockstep:
     def test_slot_written_while_non_empty_raises(self):
         """A slot is only written once drained, as a DepthBuffer is."""
         bufs = SlotBuffers(num_parts=2, num_steps=3, capacity=4,
-                           root_total=np.array([5, 5]))
+                           root_total=np.array([5, 5]), root_start=0)
         group = np.array([0, 1])
         rows = np.zeros((3, 2), dtype=np.int64)
         bufs.fill(2, group, np.array([0, 0, 1]), np.array([2, 1]),

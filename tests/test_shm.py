@@ -42,6 +42,7 @@ from repro.cst.partition import (
     partition_to_list,
 )
 from repro.cst.structure import CST
+from repro.cst.workload import estimate_workload
 from repro.fpga.config import FpgaConfig
 from repro.graph.generators import (
     random_connected_query,
@@ -142,9 +143,8 @@ class TestDescriptorRoundTrip:
         cst = build_cst(query, data)
         arena = CstArena()
         try:
-            assert_cst_equal(
-                assert_roundtrip_exact(PartitionSet.of(cst), arena)[0], cst
-            )
+            whole = PartitionSet.of(cst, estimate_workload(cst))
+            assert_cst_equal(assert_roundtrip_exact(whole, arena)[0], cst)
             # Every Algorithm 2 partition round-trips exactly too.
             order = path_based_order(cst.tree, data)
             limits = PartitionLimits(
@@ -193,7 +193,8 @@ class TestDescriptorRoundTrip:
         )
         arena = CstArena()
         try:
-            back = assert_roundtrip_exact(PartitionSet.of(cst), arena)
+            whole = PartitionSet.of(cst, estimate_workload(cst))
+            back = assert_roundtrip_exact(whole, arena)
             assert back[0].total_candidates() == 3
         finally:
             arena.close()
@@ -202,7 +203,8 @@ class TestDescriptorRoundTrip:
         cst = build_cst(get_query("q0").graph, micro_graph)
         arena = CstArena()
         try:
-            back = arena.place_set(PartitionSet.of(cst)).load()
+            whole = PartitionSet.of(cst, estimate_workload(cst))
+            back = arena.place_set(whole).load()
             with pytest.raises(ValueError):
                 back.candidates[0][0] = 1
             with pytest.raises(ValueError):
@@ -217,7 +219,7 @@ class TestDescriptorRoundTrip:
         import pickle
 
         cst = build_cst(get_query("q2").graph, micro_graph)
-        pset = PartitionSet.of(cst)
+        pset = PartitionSet.of(cst, estimate_workload(cst))
         arena = CstArena()
         try:
             payload = len(pickle.dumps(arena.place_set(pset)))
@@ -232,7 +234,7 @@ class TestArenaAllocation:
         """A set is placed once; an equal but distinct set is a new
         placement."""
         cst = build_cst(get_query("q1").graph, micro_graph)
-        pset = PartitionSet.of(cst)
+        pset = PartitionSet.of(cst, estimate_workload(cst))
         arena = CstArena()
         try:
             ref1 = arena.place_set(pset)
@@ -242,6 +244,23 @@ class TestArenaAllocation:
             assert arena.place_set(pset.take([0])) != ref1
             assert arena.placed_bytes > before
         finally:
+            arena.close()
+
+    def test_loaded_sets_cached_per_arena(self, micro_graph):
+        """Every set of one arena stays loaded however many rotate
+        through (serve cycles a dozen per worker); a ref from another
+        arena drops them."""
+        cst = build_cst(get_query("q1").graph, micro_graph)
+        pset = PartitionSet.of(cst, estimate_workload(cst))
+        arena, other = CstArena(), CstArena()
+        try:
+            refs = [arena.place_set(pset.take([0])) for _ in range(16)]
+            first = [ref.load() for ref in refs]
+            assert all(ref.load() is pset for ref, pset in zip(refs, first))
+            other.place_set(pset).load()
+            assert refs[0].load() is not first[0]
+        finally:
+            other.close()
             arena.close()
 
     def test_shared_partition_arrays_place_once(self):
