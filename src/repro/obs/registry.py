@@ -77,12 +77,13 @@ def run_families(prefix: str = "fast") -> tuple[FamilySpec, ...]:
         FamilySpec(
             f"{p}_pool_events", "counter",
             "Warm worker-pool supervision actions during execute "
-            "(respawned workers, re-dispatched chunks, hedges, "
+            "(respawned workers, re-dispatched, hedged and "
             "quarantined tasks; see docs/robustness.md).",
             suffix="_total",
         ),
         FamilySpec(f"{p}_pool_chunks", "counter",
-                   "Task chunks dispatched to the warm worker pool.",
+                   "Tasks (partition windows) dispatched to the warm "
+                   "worker pool.",
                    suffix="_total"),
         FamilySpec(f"{p}_recovery_actions", "counter",
                    "Fault-recovery actions taken "
@@ -354,8 +355,7 @@ def build_run_registry(
                     float(source[key]))
     if execute.get("pool") == "process":
         for event in ("spawned", "respawns", "redispatches", "hedges",
-                      "quarantines", "shm_fallbacks", "stall_kills",
-                      "recycled"):
+                      "quarantines", "shm_fallbacks", "stall_kills"):
             if f"pool_{event}" in execute:
                 reg.set(f"{p}_pool_events", {**base, "event": event},
                         float(execute.get(f"pool_{event}", 0)))

@@ -29,9 +29,10 @@ path for a single device and for a multi-FPGA pool alike:
 :func:`dispatch_partitions`
     Real wall-clock concurrency for independent partition tasks: FPGA
     kernel simulation over a window of one device queue's partitions,
-    and CPU-share host matching over one partition. With one worker
-    (or one task) tasks run inline; otherwise they run on the
-    context's warm supervised :class:`~repro.runtime.pool.WorkerPool`
+    and CPU-share host matching over a window of the CPU share. With
+    one worker (or one task) tasks run inline; otherwise they run on
+    the context's warm supervised
+    :class:`~repro.runtime.pool.WorkerPool`, one task per dispatch,
     with every partition set shipped once over the shared-memory
     arena. Results are delivered per task index, so merging is
     deterministic regardless of scheduling.
@@ -72,7 +73,7 @@ __all__ = [
 #: ``pool_<name>`` deltas (the pool's own counters are cumulative).
 POOL_STAT_KEYS = (
     "spawned", "respawns", "redispatches", "hedges", "quarantines",
-    "shm_fallbacks", "stall_kills", "recycled", "chunks",
+    "shm_fallbacks", "stall_kills", "chunks",
 )
 
 
@@ -242,11 +243,13 @@ def dispatch_partitions(
 ) -> dict[str, Any]:
     """Run independent partition tasks; return the stage's dispatch facts.
 
-    ``tasks`` are ``(fn, args)`` pairs whose partitions are
-    :class:`PartitionRef` args. ``on_result(index, result)`` fires in this
-    process as each task completes — in index order inline, in
-    completion order on the pool — which is what the run journal hooks
-    to persist outcomes the moment they exist.
+    ``tasks`` are ``(fn, args)`` pairs, one per window of partitions
+    (of a device queue or of the CPU share), whose partitions are
+    :class:`PartitionRef` args; each is one pool dispatch.
+    ``on_result(index, result)`` fires in this process as each task
+    completes — in index order inline, in completion order on the
+    pool — which is what the run journal hooks to persist outcomes
+    the moment they exist.
 
     When :func:`uses_pool` says no, tasks run inline in task order.
     Otherwise the context's shared-memory arena is created *before*
@@ -264,7 +267,8 @@ def dispatch_partitions(
     The returned facts are noted on the calling stage: ``pool``
     (``inline`` or ``process``), ``cst_plane`` (``local``, ``shm`` or
     ``pickle``) and, for pooled runs, per-stage ``pool_<counter>``
-    deltas of the pool's cumulative supervision counters.
+    deltas of the pool's cumulative supervision counters
+    (``pool_chunks`` is the number of tasks dispatched).
     """
     if not uses_pool(ctx.executor, len(tasks)):
         for i, (fn, args) in enumerate(tasks):

@@ -12,28 +12,28 @@ Design, in one pass:
 * **Warm.** Workers are forked once and reused across execute stages
   and serve batches, amortizing both the fork itself and the
   per-worker shared-memory attachment / loaded-set cache warmup.
-  Parent and workers talk over one duplex pipe per worker; idle
-  workers emit periodic heartbeats.
+  Parent and workers talk over one duplex pipe per worker, one task
+  per message; an idle worker blocks on its pipe and sends nothing.
 * **Supervised.** A dead worker (SIGKILL, segfault, OOM) is detected
-  by liveness polling + pipe EOF, respawned, and its in-flight chunk
-  re-dispatched with a bumped attempt number. A chunk whose dispatch
+  by liveness polling + pipe EOF, respawned, and its in-flight task
+  re-dispatched with a bumped attempt number. A task whose dispatch
   is silent past the wall-clock watchdog is *hedged* — re-dispatched
   to an idle worker, first completion wins — and the worker itself is
-  SIGKILLed once it is silent past twice the watchdog. A chunk that
-  crashes its worker ``max_crashes`` times is *quarantined*: the pool
-  runs it inline in the parent process, executing the exact same pure
-  task function, so counts, modeled seconds, and health records stay
-  bit-identical to a fault-free run.
+  SIGKILLed once it is silent past twice the watchdog. A task that
+  crashes its worker :data:`MAX_CRASHES` times is *quarantined*: the
+  pool runs it inline in the parent process, executing the exact same
+  pure task function, so counts, modeled seconds, and health records
+  stay bit-identical to a fault-free run.
 * **Shm-loss aware.** A worker that finds a task's shared-memory CST
   segment gone (really unlinked, or injected via
   :class:`~repro.runtime.faults.HostFaultPlan`) reports ``shm_lost``;
   the parent swaps in a pickled fallback payload for that task and
   re-dispatches, so losing the zero-copy plane degrades wall-clock
   only.
-* **Chunked.** Long partition streams are grouped, in index order,
-  into multi-partition chunks sized by :func:`chunk_size` to cut
-  per-task dispatch overhead; a chunk is the unit of dispatch,
-  hedging, and crash accounting.
+
+The execute stage already batches partitions into windows (one task
+per window of a device queue or of the CPU share), so a task is the
+unit of dispatch, hedging, and crash accounting.
 
 Determinism: task *values* never depend on supervision. Tasks are
 pure functions of their arguments, results are keyed by task index,
@@ -54,7 +54,7 @@ import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Callable, Sequence
@@ -72,6 +72,13 @@ Task = tuple[Callable[..., Any], tuple]
 
 #: How many trace events the pool retains between drains.
 _MAX_EVENTS = 10_000
+
+#: Worker deaths a task may cause before it is quarantined inline.
+MAX_CRASHES = 2
+
+#: Longest the parent waits on worker pipes before re-checking
+#: liveness and the watchdog during a run.
+_POLL_S = 0.2
 
 _PR_SET_PDEATHSIG = 1
 
@@ -131,156 +138,123 @@ def _drop_shm_attachments() -> None:
 
 
 def _pool_worker_main(
-    worker_id: int,
     conn: Any,
     parent_pid: int,
-    heartbeat_s: float,
     fault_plan: HostFaultPlan | None,
 ) -> None:  # pragma: no cover - runs in the worker process
-    """Worker loop: poll for chunks, run them, heartbeat when idle."""
+    """Worker loop: block for a task, run it, reply."""
     install_parent_death_tether(parent_pid)
     while True:
         try:
-            if not conn.poll(heartbeat_s):
-                conn.send(("hb", worker_id))
-                continue
             message = conn.recv()
         except (EOFError, OSError):
             return
         if message[0] == "stop":
             return
-        _, dispatch_seq, attempt, items, trace = message
-        reply = _run_chunk(dispatch_seq, attempt, items, fault_plan,
-                           trace)
+        _, dispatch_seq, attempt, item, trace = message
+        reply = _run_chunk(dispatch_seq, attempt, item, fault_plan, trace)
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
             return
 
 
+
+
 def _run_chunk(
     dispatch_seq: int,
     attempt: int,
-    items: Sequence[tuple[int, Callable[..., Any], tuple, bool]],
+    item: tuple[int, Callable[..., Any], tuple, bool],
     fault_plan: HostFaultPlan | None,
     trace: bool = False,
 ) -> tuple:
-    """Execute one chunk inside a worker; returns the reply message.
+    """Execute one task inside a worker; returns the reply message.
 
-    With ``trace`` set, the worker times each task (plus injected
-    stalls and cold shared-memory attaches) against its own
+    With ``trace`` set, the worker times the task (plus an injected
+    stall and cold shared-memory attaches) against its own
     ``perf_counter`` — CLOCK_MONOTONIC, system-wide, so the parent can
     rebase the timestamps onto the tracer's wall clock — and ships the
     spans back inside the ``done`` reply:
     ``(name, start_perf, seconds, args)`` per span.
     """
-    out: list[tuple[int, Any]] = []
-    spans: list[tuple[str, float, float, dict]] | None = (
-        [] if trace else None
-    )
-    for task_index, fn, args, uses_shm in items:
-        if fault_plan is not None:
-            if attempt < fault_plan.fires("worker_kill", task_index):
-                os.kill(os.getpid(), signal.SIGKILL)
-            if attempt < fault_plan.fires("worker_stall", task_index):
-                stall_start = time.perf_counter()
-                time.sleep(fault_plan.stall_seconds)
-                if spans is not None:
-                    spans.append((
-                        "host-stall", stall_start,
-                        time.perf_counter() - stall_start,
-                        {"task": task_index},
-                    ))
-            if uses_shm and attempt < fault_plan.fires(
-                "shm_unlink", task_index
-            ):
-                _drop_shm_attachments()
-                return ("shm_lost", dispatch_seq, task_index,
-                        "injected shm loss")
-        start = time.perf_counter()
-        try:
-            result = fn(*args)
-        except FileNotFoundError as exc:
-            if uses_shm:  # the CST segment is genuinely gone
-                return ("shm_lost", dispatch_seq, task_index, repr(exc))
-            return _error_reply(dispatch_seq, task_index, exc)
-        except Exception as exc:
-            return _error_reply(dispatch_seq, task_index, exc)
-        if spans is not None:
+    task_index, fn, args, uses_shm = item
+    spans: list[tuple[str, float, float, dict]] = []
+    if fault_plan is not None:
+        if attempt < fault_plan.fires("worker_kill", task_index):
+            os.kill(os.getpid(), signal.SIGKILL)
+        if attempt < fault_plan.fires("worker_stall", task_index):
+            stall_start = time.perf_counter()
+            time.sleep(fault_plan.stall_seconds)
             spans.append((
-                "pool-task", start, time.perf_counter() - start,
-                {"task": task_index, "attempt": attempt},
+                "host-stall", stall_start,
+                time.perf_counter() - stall_start,
+                {"task": task_index},
             ))
-        out.append((task_index, result))
-    if spans is not None:
-        from repro.runtime import shm
+        if uses_shm and attempt < fault_plan.fires(
+            "shm_unlink", task_index
+        ):
+            _drop_shm_attachments()
+            return ("shm_lost", dispatch_seq, "injected shm loss")
+    start = time.perf_counter()
+    try:
+        result = fn(*args)
+    except FileNotFoundError as exc:
+        if uses_shm:  # the CST segment is genuinely gone
+            return ("shm_lost", dispatch_seq, repr(exc))
+        return _error_reply(dispatch_seq, exc)
+    except Exception as exc:
+        return _error_reply(dispatch_seq, exc)
+    if not trace:
+        return ("done", dispatch_seq, result)
+    spans.append((
+        "pool-task", start, time.perf_counter() - start,
+        {"task": task_index, "attempt": attempt},
+    ))
+    from repro.runtime import shm
 
-        for segment, attach_start, seconds in shm.drain_attach_events():
-            spans.append((
-                "shm-attach", attach_start, seconds,
-                {"segment": segment},
-            ))
-        return ("done", dispatch_seq, out, spans)
-    return ("done", dispatch_seq, out)
+    for segment, attach_start, seconds in shm.drain_attach_events():
+        spans.append((
+            "shm-attach", attach_start, seconds, {"segment": segment},
+        ))
+    return ("done", dispatch_seq, result, spans)
 
 
-def _error_reply(
-    dispatch_seq: int, task_index: int, exc: Exception
-) -> tuple:
+def _error_reply(dispatch_seq: int, exc: Exception) -> tuple:
     """Package a task exception so the parent can re-raise it typed."""
     try:
         payload: bytes | None = pickle.dumps(exc)
     except Exception:
         payload = None
-    return ("error", dispatch_seq, task_index, payload,
-            traceback.format_exc())
-
-
-def chunk_size(num_tasks: int, workers: int) -> int:
-    """Consecutive tasks per dispatch: about 32 chunks per worker.
-
-    Short streams (an execute stage's handful of FPGA windows) keep one
-    task per chunk, so hedging and crash accounting stay per task;
-    long ones (hundreds of CPU-share partitions) amortize the pipe
-    round-trip over several tasks.
-    """
-    return max(1, num_tasks // (32 * workers))
+    return ("error", dispatch_seq, payload, traceback.format_exc())
 
 
 @dataclass(frozen=True)
 class PoolConfig:
     """Shape and supervision knobs of a :class:`WorkerPool`.
 
-    All wall-clock domain. ``ttl`` recycles a worker after that many
-    tasks (0 = never), bounding drift from leaked state; ``watchdog_s``
-    is the silence budget before a dispatch is hedged (stall-kill at
-    twice that; 0 disables); ``max_crashes`` is how many worker
-    deaths a chunk may cause before it is quarantined inline.
+    All wall-clock domain. ``watchdog_s`` is the silence budget before
+    a dispatch is hedged (stall-kill at twice that; 0 disables);
+    ``host_faults`` injects seeded host faults into the workers.
     """
 
     workers: int = 2
-    ttl: int = 0
     watchdog_s: float = 30.0
-    max_crashes: int = 2
-    heartbeat_s: float = 0.2
     host_faults: HostFaultPlan | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise DeviceError("pool workers must be >= 1")
-        if self.ttl < 0:
-            raise DeviceError("pool ttl must be >= 0")
         if self.watchdog_s < 0.0:
             raise DeviceError("pool watchdog must be >= 0")
-        if self.max_crashes < 1:
-            raise DeviceError("pool max_crashes must be >= 1")
-        if self.heartbeat_s <= 0.0:
-            raise DeviceError("pool heartbeat must be > 0")
 
 
 @dataclass
 class PoolStats:
-    """Cumulative supervision counters of one pool (wall-clock only)."""
+    """Cumulative supervision counters of one pool (wall-clock only).
+
+    ``chunks`` counts dispatched tasks (one per :meth:`WorkerPool.run`
+    task, whatever its supervision).
+    """
 
     spawned: int = 0
     respawns: int = 0
@@ -289,46 +263,24 @@ class PoolStats:
     quarantines: int = 0
     shm_fallbacks: int = 0
     stall_kills: int = 0
-    recycled: int = 0
-    duplicates: int = 0
-    heartbeats: int = 0
-    tasks_done: int = 0
     chunks: int = 0
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "spawned": self.spawned,
-            "respawns": self.respawns,
-            "redispatches": self.redispatches,
-            "hedges": self.hedges,
-            "quarantines": self.quarantines,
-            "shm_fallbacks": self.shm_fallbacks,
-            "stall_kills": self.stall_kills,
-            "recycled": self.recycled,
-            "duplicates": self.duplicates,
-            "heartbeats": self.heartbeats,
-            "tasks_done": self.tasks_done,
-            "chunks": self.chunks,
-        }
+        return asdict(self)
 
 
 class _Worker:
     """Parent-side record of one worker process."""
 
-    __slots__ = (
-        "slot", "process", "conn", "tasks_served", "current",
-        "dispatched_at", "last_seen",
-    )
+    __slots__ = ("slot", "process", "conn", "current", "dispatched_at")
 
     def __init__(self, slot: int) -> None:
         self.slot = slot
         self.process: Any = None
         self.conn: Any = None
-        self.tasks_served = 0
-        #: dispatch_seq of the in-flight chunk, or None when idle.
+        #: dispatch_seq of the in-flight task, or None when idle.
         self.current: int | None = None
         self.dispatched_at = 0.0
-        self.last_seen = 0.0
 
     @property
     def busy(self) -> bool:
@@ -339,29 +291,29 @@ class _Worker:
 
 
 class _Chunk:
-    """One dispatch unit: a run of consecutive tasks."""
+    """One task and its supervision state: the unit of dispatch."""
 
     __slots__ = (
-        "items", "attempt", "crashes", "hedged", "queued",
-        "completed", "inflight",
+        "item", "attempt", "crashes", "hedged", "queued", "completed",
+        "inflight",
     )
 
     def __init__(
-        self, items: list[tuple[int, Callable[..., Any], tuple, bool]]
+        self, item: tuple[int, Callable[..., Any], tuple, bool]
     ) -> None:
-        #: ``(task_index, fn, args, uses_shm)`` per task, index order.
-        self.items = items
+        #: ``(task_index, fn, args, uses_shm)``.
+        self.item = item
         self.attempt = 0
         self.crashes = 0
         self.hedged = False
         self.queued = True
         self.completed = False
-        #: Live dispatch_seqs of this chunk (primary + hedges).
+        #: Live dispatch_seqs of this task (primary + hedges).
         self.inflight: set[int] = set()
 
     @property
-    def indices(self) -> list[int]:
-        return [item[0] for item in self.items]
+    def index(self) -> int:
+        return self.item[0]
 
 
 class WorkerPool:
@@ -370,9 +322,9 @@ class WorkerPool:
     See the module docstring for the supervision model. The pool is
     *not* thread-safe: one ``run`` at a time (the execute stage and
     the serve loop both satisfy this). Workers are forked lazily on
-    the first ``run`` and live until :meth:`close` — which the owning
-    :class:`~repro.runtime.context.RunContext` or ``MatchServer``
-    calls — or until their ``ttl`` recycles them.
+    the first ``run`` and live until :meth:`recycle` or :meth:`close`,
+    which the owning :class:`~repro.runtime.context.RunContext` or
+    ``MatchServer`` calls.
     """
 
     def __init__(self, config: PoolConfig | None = None) -> None:
@@ -381,7 +333,7 @@ class WorkerPool:
         self._workers: list[_Worker] = [
             _Worker(slot) for slot in range(self.config.workers)
         ]
-        #: dispatch_seq -> chunk, for every in-flight dispatch,
+        #: dispatch_seq -> task, for every in-flight dispatch,
         #: including stale ones left by an aborted run.
         self._dispatches: dict[int, _Chunk] = {}
         self._next_seq = 0
@@ -400,8 +352,7 @@ class WorkerPool:
             self._mp = get_context()
         watchdog = self.config.watchdog_s
         self._tick = max(0.01, min(
-            self.config.heartbeat_s,
-            watchdog / 4.0 if watchdog > 0.0 else self.config.heartbeat_s,
+            _POLL_S, watchdog / 4.0 if watchdog > 0.0 else _POLL_S,
         ))
 
     @property
@@ -428,10 +379,7 @@ class WorkerPool:
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
         process = self._mp.Process(
             target=_pool_worker_main,
-            args=(
-                worker.slot, child_conn, os.getpid(),
-                self.config.heartbeat_s, self.config.host_faults,
-            ),
+            args=(child_conn, os.getpid(), self.config.host_faults),
             daemon=True,
             name=f"repro-pool-{worker.slot}",
         )
@@ -441,9 +389,7 @@ class WorkerPool:
         child_conn.close()
         worker.process = process
         worker.conn = parent_conn
-        worker.tasks_served = 0
         worker.current = None
-        worker.last_seen = time.perf_counter()
         self.stats.spawned += 1
 
     def worker_pids(self) -> list[int]:
@@ -480,7 +426,7 @@ class WorkerPool:
 
         Each entry is ``(worker_slot, name, start_perf, seconds,
         args)``; slot ``-1`` marks parent-inline (quarantine) work.
-        Only spans from the *winning* copy of a chunk are kept —
+        Only spans from the *winning* copy of a task are kept —
         duplicate completions (hedges, stragglers) are dropped with
         their results, so the trace never shows the same task twice.
         """
@@ -514,25 +460,19 @@ class WorkerPool:
         plane; ``fallback(index)`` must then build an equivalent
         pickled task, used when a worker reports the segment lost.
         Exceptions raised by tasks (or by ``on_result``) propagate
-        with their original type; in-flight chunks of an aborted run
+        with their original type; in-flight tasks of an aborted run
         are discarded when their stragglers arrive.
         """
         if not tasks:
             return []
         self.ensure_workers()
-        size = chunk_size(len(tasks), self.config.workers)
-        chunks: list[_Chunk] = []
-        for start in range(0, len(tasks), size):
-            items = [
-                (
-                    i,
-                    tasks[i][0],
-                    tasks[i][1],
-                    bool(uses_shm[i]) if uses_shm is not None else False,
-                )
-                for i in range(start, min(start + size, len(tasks)))
-            ]
-            chunks.append(_Chunk(items))
+        chunks = [
+            _Chunk((
+                i, fn, args,
+                bool(uses_shm[i]) if uses_shm is not None else False,
+            ))
+            for i, (fn, args) in enumerate(tasks)
+        ]
         self.stats.chunks += len(chunks)
         pending: deque[_Chunk] = deque(chunks)
         results: dict[int, Any] = {}
@@ -556,8 +496,7 @@ class WorkerPool:
             # Anything still in flight belongs to an aborted run:
             # mark it stale so stragglers are dropped, not delivered.
             for chunk in chunks:
-                if not chunk.completed:
-                    chunk.completed = True
+                chunk.completed = True
             pending.clear()
         if state["error"] is not None:
             raise state["error"]
@@ -579,7 +518,7 @@ class WorkerPool:
             chunk.queued = False
             if not self._send(worker, chunk):
                 # The worker died between liveness check and send;
-                # the reap pass respawns it, the chunk goes back on
+                # the reap pass respawns it, the task goes back on
                 # the queue for the next loop iteration.
                 chunk.queued = True
                 pending.appendleft(chunk)
@@ -588,10 +527,9 @@ class WorkerPool:
     def _send(self, worker: _Worker, chunk: _Chunk) -> bool:
         seq = self._next_seq
         self._next_seq += 1
-        attempt = chunk.attempt
         try:
             worker.conn.send(
-                ("run", seq, attempt, chunk.items, self._trace)
+                ("run", seq, chunk.attempt, chunk.item, self._trace)
             )
         except (BrokenPipeError, OSError):
             self._kill_worker(worker)
@@ -621,24 +559,14 @@ class WorkerPool:
             except (EOFError, OSError):
                 self._kill_worker(worker)
                 continue
-            worker.last_seen = time.perf_counter()
-            kind = message[0]
-            if kind == "hb":
-                self.stats.heartbeats += 1
-                continue
-            seq = message[1]
+            kind, seq = message[0], message[1]
             chunk = self._dispatches.pop(seq, None)
             if worker.current == seq:
                 worker.current = None
-                if chunk is not None:
-                    worker.tasks_served += len(chunk.items)
-                self._maybe_recycle(worker)
             if chunk is None:
-                self.stats.duplicates += 1
                 continue
             chunk.inflight.discard(seq)
             if chunk.completed:
-                self.stats.duplicates += 1
                 continue
             if kind == "done":
                 # Spans arrive only from the winning copy: duplicate
@@ -646,50 +574,40 @@ class WorkerPool:
                 # double-report a task.
                 if len(message) > 3 and message[3]:
                     self._record_worker_spans(worker.slot, message[3])
-                self._complete(chunk, message[2], state)
+                chunk.completed = True
+                state["done"] += 1
+                self._deliver(chunk.index, message[2], state)
             elif kind == "shm_lost":
-                self._shm_lost(chunk, message[2], message[3], state)
+                self._shm_lost(chunk, message[2], state)
             elif kind == "error":
-                self._task_error(chunk, message[3], message[4], state)
+                self._task_error(chunk, message[2], message[3], state)
 
-    def _complete(
-        self, chunk: _Chunk, payload: list[tuple[int, Any]],
-        state: dict[str, Any],
+    def _deliver(
+        self, task_index: int, value: Any, state: dict[str, Any]
     ) -> None:
-        chunk.completed = True
-        state["done"] += 1
-        self.stats.tasks_done += len(payload)
-        results: dict[int, Any] = state["results"]
+        state["results"][task_index] = value
         on_result = state["on_result"]
-        for task_index, value in payload:
-            results[task_index] = value
-            if on_result is not None:
-                try:
-                    on_result(task_index, value)
-                except BaseException as exc:
-                    state["error"] = exc
-                    return
+        if on_result is not None:
+            try:
+                on_result(task_index, value)
+            except BaseException as exc:
+                state["error"] = exc
 
     def _shm_lost(
-        self, chunk: _Chunk, task_index: int, message: str,
-        state: dict[str, Any],
+        self, chunk: _Chunk, message: str, state: dict[str, Any],
     ) -> None:
         fallback = state["fallback"]
         if fallback is None:
             state["error"] = WorkerShmLost(
-                f"task {task_index} lost its shared-memory CST plane "
+                f"task {chunk.index} lost its shared-memory CST plane "
                 f"({message}) and no pickled fallback is available"
             )
             return
-        for j, (i, _fn, _args, uses) in enumerate(chunk.items):
-            if i == task_index and uses:
-                fb_fn, fb_args = fallback(i)
-                chunk.items[j] = (i, fb_fn, fb_args, False)
-                self.stats.shm_fallbacks += 1
-                self._event(
-                    "shm_fallback", task=task_index, detail=message
-                )
-                break
+        if chunk.item[3]:  # a hedged copy may have swapped it already
+            fb_fn, fb_args = fallback(chunk.index)
+            chunk.item = (chunk.index, fb_fn, fb_args, False)
+            self.stats.shm_fallbacks += 1
+            self._event("shm_fallback", task=chunk.index, detail=message)
         self._maybe_requeue(chunk, state)
 
     def _task_error(
@@ -714,23 +632,23 @@ class WorkerPool:
     def _maybe_requeue(
         self, chunk: _Chunk, state: dict[str, Any]
     ) -> None:
-        """Re-queue a lost chunk once no copy of it is in flight."""
+        """Re-queue a lost task once no copy of it is in flight."""
         if chunk.completed or chunk.queued or chunk.inflight:
             return
-        if chunk.crashes >= self.config.max_crashes:
+        if chunk.crashes >= MAX_CRASHES:
             self._quarantine(chunk, state)
             return
         chunk.queued = True
         state["pending"].appendleft(chunk)
         self.stats.redispatches += 1
         self._event(
-            "redispatch", tasks=chunk.indices, attempt=chunk.attempt
+            "redispatch", task=chunk.index, attempt=chunk.attempt
         )
 
     def _quarantine(
         self, chunk: _Chunk, state: dict[str, Any]
     ) -> None:
-        """Run a worker-killing chunk inline in the parent.
+        """Run a worker-killing task inline in the parent.
 
         Inline execution of the same pure task function is the exact
         fallback: counts, modeled seconds, and health records are
@@ -738,31 +656,22 @@ class WorkerPool:
         host faults never fire here — they live in the worker loop.
         """
         self.stats.quarantines += 1
-        self._event("quarantine", tasks=chunk.indices)
+        self._event("quarantine", task=chunk.index)
         chunk.completed = True
         state["done"] += 1
-        results: dict[int, Any] = state["results"]
-        on_result = state["on_result"]
-        for task_index, fn, args, _uses in chunk.items:
-            start = time.perf_counter()
-            try:
-                value = fn(*args)
-            except BaseException as exc:
-                state["error"] = exc
-                return
-            if self._trace:
-                self._record_worker_spans(-1, [(
-                    "pool-task", start, time.perf_counter() - start,
-                    {"task": task_index, "quarantined": True},
-                )])
-            self.stats.tasks_done += 1
-            results[task_index] = value
-            if on_result is not None:
-                try:
-                    on_result(task_index, value)
-                except BaseException as exc:
-                    state["error"] = exc
-                    return
+        task_index, fn, args, _uses = chunk.item
+        start = time.perf_counter()
+        try:
+            value = fn(*args)
+        except BaseException as exc:
+            state["error"] = exc
+            return
+        if self._trace:
+            self._record_worker_spans(-1, [(
+                "pool-task", start, time.perf_counter() - start,
+                {"task": task_index, "quarantined": True},
+            )])
+        self._deliver(task_index, value, state)
 
     def _reap_dead(self, state: dict[str, Any]) -> None:
         for worker in self._workers:
@@ -802,11 +711,10 @@ class WorkerPool:
                 continue
             if elapsed > 2.0 * watchdog:
                 # Stalled past the kill line: SIGKILL the worker; the
-                # reap pass respawns it and re-queues the chunk.
+                # reap pass respawns it and re-queues the task.
                 self.stats.stall_kills += 1
                 self._event(
-                    "stall_kill", worker=worker.slot,
-                    tasks=chunk.indices,
+                    "stall_kill", worker=worker.slot, task=chunk.index,
                 )
                 self._kill_worker(worker)
             elif not chunk.hedged:
@@ -815,8 +723,7 @@ class WorkerPool:
                     chunk.hedged = True
                     self.stats.hedges += 1
                     self._event(
-                        "hedge", tasks=chunk.indices,
-                        attempt=chunk.attempt,
+                        "hedge", task=chunk.index, attempt=chunk.attempt,
                     )
 
     def _kill_worker(self, worker: _Worker) -> None:
@@ -827,16 +734,6 @@ class WorkerPool:
         except (OSError, ValueError):  # pragma: no cover
             pass
         worker.process.join(timeout=5.0)
-
-    def _maybe_recycle(self, worker: _Worker) -> None:
-        ttl = self.config.ttl
-        if ttl <= 0 or worker.busy or worker.tasks_served < ttl:
-            return
-        self.stats.recycled += 1
-        self._event("recycle", worker=worker.slot,
-                    tasks_served=worker.tasks_served)
-        self._stop_worker(worker)
-        self._spawn(worker)
 
     # ------------------------------------------------------------ close
 

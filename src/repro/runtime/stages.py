@@ -520,20 +520,24 @@ def _is_clean(core: SupervisorCore, scope: tuple, ladder_replay: dict) -> bool:
     )
 
 
-def _run_cpu_partition(
+def _run_cpu_window(
     ref: PartitionRef, order: tuple[int, ...]
-) -> tuple[list[tuple[int, ...]], CpuMatchCounters]:
-    """Host matcher over the one member of ``ref``, a CPU-share (or
-    fallback) partition — the CPU task of the execute stage.
+) -> list[tuple[list[tuple[int, ...]], CpuMatchCounters]]:
+    """Host matcher over each member of ``ref``, a window of CPU-share
+    (or one fallback) partitions — the CPU task of the execute stage.
 
-    Counters are private to the task and merged by the caller in
+    Returns one ``(found, counters)`` per member, in member order.
+    Counters are private to each partition and merged by the caller in
     partition order; integer sums are order-independent, so the
-    modeled CPU-share seconds are identical to the old serial loop.
+    modeled CPU-share seconds are identical to a serial loop.
     """
-    counters = CpuMatchCounters()
-    part = resolve_partition(ref)[ref.members[0]]
-    found = cst_embeddings(part, order, counters=counters)
-    return found, counters
+    parts = resolve_partition(ref)
+    out = []
+    for m in ref.members:
+        counters = CpuMatchCounters()
+        found = cst_embeddings(parts[m], order, counters=counters)
+        out.append((found, counters))
+    return out
 
 
 def _supervise_partition(
@@ -666,7 +670,7 @@ def _supervise_partition(
             device=core.device,
         ))
         out.segments.append((pcie, overhead))
-        out.fallbacks.append(_run_cpu_partition(PartitionRef(cur, (m,)), order))
+        out.fallbacks += _run_cpu_window(PartitionRef(cur, (m,)), order)
     return out
 
 
@@ -917,11 +921,12 @@ def execute_stage(
         # dispatch covers both; only work the journal has not already
         # completed is dispatched. Each device queue's pending FPGA
         # partitions split, in queue order, into windows of at most
-        # FastEngine.lockstep_window partitions, and into at least
-        # ``workers`` windows so the pool has one per worker. Each
-        # window carries its device's supervision core. Completion
-        # callbacks run in this process and persist each outcome as it
-        # lands.
+        # FastEngine.lockstep_window partitions and of at most
+        # ``ceil(pending / workers)``, so the pool gets a share per
+        # worker; the pending CPU share splits by the second rule
+        # alone, so it is one window inline. Each FPGA window carries
+        # its device's supervision core. Completion callbacks run in
+        # this process and persist each outcome as it lands.
         windows: list[tuple[SupervisorCore, tuple[int, ...]]] = []
         for dq in queues:
             queued = [i for i in dq.partitions if i not in outcomes]
@@ -948,12 +953,17 @@ def execute_stage(
                 for start in range(0, len(queued), size)
             ]
         pending_cpu = [j for j in range(n_cpu) if j not in cpu_done]
+        size = max(1, -(-len(pending_cpu) // exec_cfg.workers))
+        cpu_windows = [
+            tuple(pending_cpu[start:start + size])
+            for start in range(0, len(pending_cpu), size)
+        ]
 
         # Inline supervisors journal each ladder rung write-ahead; pool
         # workers cannot reach the journal fd, so their rung records
         # ride back on the outcome and on_done appends them before the
         # partition record, preserving replay order.
-        pooled_tasks = uses_pool(exec_cfg, len(windows) + len(pending_cpu))
+        pooled_tasks = uses_pool(exec_cfg, len(windows) + len(cpu_windows))
         journal_append = (
             journal.append
             if journal is not None and journal.active and not pooled_tasks
@@ -967,9 +977,9 @@ def execute_stage(
             for core, window in windows
         ]
         tasks += [
-            (_run_cpu_partition,
-             (PartitionRef(work.cpu_parts, (j,)), plan.order))
-            for j in pending_cpu
+            (_run_cpu_window, (PartitionRef(work.cpu_parts, window),
+                               plan.order))
+            for window in cpu_windows
         ]
 
         def on_done(pos: int, result: Any) -> None:
@@ -984,9 +994,10 @@ def execute_stage(
                             outcome_to_record(i, out, collect_results)
                         )
                     check_deadline()
-            else:
-                j = pending_cpu[pos - len(windows)]
-                found, counters = result
+                return
+            for j, (found, counters) in zip(
+                cpu_windows[pos - len(windows)], result
+            ):
                 cpu_done[j] = (found, counters)
                 if journal is not None:
                     journal.append({

@@ -302,9 +302,11 @@ class TestWorkerDeterminism:
         assert execute["pool"] == "process"
         assert execute["cst_plane"] == "shm"
 
-    def test_cpu_share_partitions_go_through_the_pool(self, worker_pool):
-        """A high delta routes a real CPU share; modeled seconds stay
-        identical under the pool."""
+    def test_cpu_share_partitions_go_through_the_pool(
+        self, worker_pool, monkeypatch,
+    ):
+        """A high delta routes a real CPU share; it reaches the pool as
+        one window per worker, and modeled seconds stay identical."""
         data = load_dataset("DG-MINI")
         cfg = tight_config(HarnessConfig(delta=0.4))
         q = get_query("q1")
@@ -312,6 +314,16 @@ class TestWorkerDeterminism:
         serial = REGISTRY.get("fast-share").run(
             serial_ctx, q.graph, data.graph
         )
+        fpga_windows = []
+        dispatch = stages.dispatch_partitions
+
+        def spy(ctx, tasks, on_result):
+            fpga_windows.append(
+                sum(fn is stages._run_window for fn, _ in tasks)
+            )
+            return dispatch(ctx, tasks, on_result)
+
+        monkeypatch.setattr(stages, "dispatch_partitions", spy)
         pooled_cfg = tight_config(HarnessConfig(delta=0.4, workers=4))
         pooled_ctx = make_context(pooled_cfg)
         pooled_ctx.worker_pool = worker_pool
@@ -323,6 +335,9 @@ class TestWorkerDeterminism:
         assert cpu_csts > 0
         assert pooled.embeddings == serial.embeddings
         assert pooled.seconds == serial.seconds
+        execute = pooled.metrics["stages"]["execute"]
+        assert execute["pool"] == "process"
+        assert execute["pool_chunks"] == fpga_windows[0] + min(4, cpu_csts)
 
 
 class TestLockstepInline:

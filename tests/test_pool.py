@@ -1,7 +1,7 @@
 """Unit tests for the supervised warm worker pool (ISSUE 9).
 
 Everything here is in-process: the pool's own supervision (respawn,
-re-dispatch, hedge, quarantine, shm fallback, ttl recycle) recovers
+re-dispatch, hedge, quarantine, shm fallback) recovers
 from real worker SIGKILLs without taking pytest down. Whole-pipeline
 chaos runs live in ``test_pool_chaos.py``; the orphan-tether tests
 spawn subprocesses because parent death cannot be simulated in-process.
@@ -29,7 +29,7 @@ from repro.runtime.faults import (
     HOST_FAULT_KINDS,
     HostFaultPlan,
 )
-from repro.runtime.pool import PoolConfig, WorkerPool, chunk_size
+from repro.runtime.pool import PoolConfig, WorkerPool
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,18 +63,13 @@ def fb_value(x):
 
 def make_pool(**kwargs):
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("heartbeat_s", 0.05)
     return WorkerPool(PoolConfig(**kwargs))
 
 
 class TestPoolConfig:
     @pytest.mark.parametrize("kwargs", [
         {"workers": 0},
-        {"ttl": -1},
-        {"heartbeat_s": -1.0},
         {"watchdog_s": -1.0},
-        {"max_crashes": 0},
-        {"heartbeat_s": 0.0},
     ])
     def test_invalid_values_raise_typed(self, kwargs):
         with pytest.raises(DeviceError):
@@ -116,30 +111,6 @@ class TestWorkerPoolBasics:
         finally:
             pool.close()
 
-    def test_chunking_matches_unchunked_results(self):
-        pool = make_pool(workers=1)
-        try:
-            assert pool.run([(double, (i,)) for i in range(13)]) == [
-                2 * i for i in range(13)
-            ]
-            assert pool.stats.chunks == 13  # short stream: per task
-            assert pool.run([(double, (i,)) for i in range(200)]) == [
-                2 * i for i in range(200)
-            ]
-            # 200 tasks on one worker: 6 per chunk, ceil(200/6) = 34.
-            assert pool.stats.chunks == 13 + 34
-        finally:
-            pool.close()
-
-    @pytest.mark.parametrize("num_tasks,workers,size", [
-        (1574, 4, 12),  # the shatter tail of a 4 KB device
-        (91, 2, 1),     # the largest serve request
-        (7, 2, 1),      # the smallest pooled serve request
-        (0, 4, 1),
-    ])
-    def test_chunk_size_rule(self, num_tasks, workers, size):
-        assert chunk_size(num_tasks, workers) == size
-
     def test_warm_reuse_across_runs(self):
         pool = make_pool(workers=2)
         try:
@@ -150,15 +121,14 @@ class TestWorkerPoolBasics:
         finally:
             pool.close()
 
-    def test_ttl_recycles_workers(self):
-        pool = make_pool(workers=1, ttl=2)
+    def test_idle_workers_send_nothing(self):
+        pool = make_pool(workers=2)
         try:
-            results = pool.run([(pid_tag, (i,)) for i in range(6)])
-            pids = [pid for _i, pid in results]
-            # 6 tasks at ttl=2 through one slot: three worker
-            # generations, each serving exactly two tasks.
-            assert len(set(pids)) == 3
-            assert pool.stats.recycled >= 2
+            pool.run([(double, (i,)) for i in range(4)])
+            time.sleep(0.5)
+            # An idle worker blocks on its pipe: no message waits for
+            # the parent between runs.
+            assert not any(w.conn.poll(0) for w in pool._workers)
         finally:
             pool.close()
 
@@ -257,7 +227,7 @@ class TestSupervision:
             assert results == [2 * i for i in range(8)]
             # idx 2 kills once (respawn + redispatch, second attempt
             # clean); idx 5 kills twice (two respawns, one redispatch,
-            # then quarantined inline at max_crashes=2).
+            # then quarantined inline at MAX_CRASHES = 2).
             assert pool.stats.respawns == 3
             assert pool.stats.redispatches == 2
             assert pool.stats.quarantines == 1
@@ -295,7 +265,7 @@ class TestSupervision:
 
     def test_repeated_stall_converges_to_quarantine(self):
         # Burst 99 stalls every worker attempt; each stall-kill counts
-        # toward the crash budget, so the chunk ends up inline.
+        # toward the crash budget, so the task ends up inline.
         plan = quiet_plan(worker_stall={0: 99})
         pool = make_pool(watchdog_s=0.15, host_faults=plan)
         try:
@@ -404,12 +374,12 @@ ORPHAN_SCRIPT = textwrap.dedent("""
     import sys
     import time
 
-    from repro.runtime.pool import PoolConfig, WorkerPool, chunk_size
+    from repro.runtime.pool import PoolConfig, WorkerPool
 
     def park(x):
         return x
 
-    pool = WorkerPool(PoolConfig(workers=2, heartbeat_s=0.1))
+    pool = WorkerPool(PoolConfig(workers=2))
     pool.run([(park, (i,)) for i in range(2)])
     print(" ".join(str(p) for p in pool.worker_pids()), flush=True)
     os._exit(0)  # die without close(): workers are now orphans
