@@ -67,9 +67,11 @@ def make_pool(**kwargs):
 
 
 class TestPoolConfig:
+    # Each row keeps the id it had while PoolConfig also validated the
+    # since-removed ttl, heartbeat_s and max_crashes fields.
     @pytest.mark.parametrize("kwargs", [
-        {"workers": 0},
-        {"watchdog_s": -1.0},
+        pytest.param({"workers": 0}, id="kwargs0"),
+        pytest.param({"watchdog_s": -1.0}, id="kwargs3"),
     ])
     def test_invalid_values_raise_typed(self, kwargs):
         with pytest.raises(DeviceError):
