@@ -14,7 +14,9 @@ neighbour with no CST-adjacent candidate, so no embedding can use it.
 
 from __future__ import annotations
 
-from repro.cst.partition import FlatCST, MaskedCST, PartitionSet
+import numpy as np
+
+from repro.cst.partition import FlatCST, PartitionSet
 from repro.cst.structure import CST
 
 
@@ -24,23 +26,23 @@ def refine_cst(cst: CST, max_passes: int = 10) -> tuple[CST, int]:
     Returns the refined CST and the number of passes executed. Each
     pass scans every directed adjacency; a candidate survives only if
     all its rows are non-empty. Stops early at fixpoint. The passes
-    run on a keep-mask over ``cst`` (:class:`FlatCST`), and the
-    refined CST is packed once at the end.
+    run on a keep-mask over ``cst`` (:class:`FlatCST`) and its alive
+    entries, and the refined CST is packed once at the end.
     """
     flat = FlatCST(cst)
-    node = flat.root()
+    mask = np.ones(flat.voff[-1], dtype=bool)
+    alive = np.arange(len(flat.src))
     for passes in range(max_passes):
         # A materialised row that lost all its entries kills its
         # source candidate (unmaterialised tree-only edges have none).
-        unsupported = flat.row_src[node.row_lens == 0]
-        if not node.mask[unsupported].any():
+        row_lens = np.bincount(flat.rowid[alive], minlength=flat.roff[-1])
+        unsupported = flat.row_src[row_lens == 0]
+        if not mask[unsupported].any():
             break
-        mask = node.mask.copy()
         mask[unsupported] = False
-        idx = node.idx[mask[flat.src[node.idx]] & mask[flat.dst[node.idx]]]
-        node = MaskedCST(flat, mask, idx)
+        alive = alive[mask[flat.src[alive]] & mask[flat.dst[alive]]]
     else:
         passes = max_passes
     refined = PartitionSet(cst)
-    refined.add(node)
+    refined.add(flat.node(mask))
     return refined.pack()[0], passes

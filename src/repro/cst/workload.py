@@ -43,7 +43,7 @@ def estimate_workload(cst: CST) -> float:
     if cst.is_empty():
         return 0.0
     weights = candidate_weights(cst)
-    return float(weights[cst.tree.root].sum())
+    return float(segment_sums(weights[cst.tree.root], [0])[0])
 
 
 def exact_tree_embeddings(cst: CST) -> int:
@@ -70,9 +70,24 @@ def row_sums(
     indptr: np.ndarray, targets: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
     """Per-row sums of ``values[targets]`` for a CSR layout."""
-    n = len(indptr) - 1
-    if len(targets) == 0:
-        return np.zeros(n, dtype=np.float64)
-    prefix = np.zeros(len(targets) + 1, dtype=np.float64)
-    np.cumsum(values[targets], out=prefix[1:])
-    return prefix[indptr[1:]] - prefix[indptr[:-1]]
+    sums = np.zeros(len(indptr) - 1, dtype=np.float64)
+    full = np.flatnonzero(np.diff(indptr))
+    sums[full] = segment_sums(values[targets], indptr[full])
+    return sums
+
+
+def segment_sums(
+    values: np.ndarray, starts: np.ndarray | list[int]
+) -> np.ndarray:
+    """Sums of ``values`` over the non-empty segments that begin at the
+    increasing ``starts`` (the last one runs to the end).
+
+    Every sum of the workload DP goes through here, in
+    :func:`estimate_workload` and in Algorithm 2's batched DP over many
+    CSTs at once. ``np.add.reduceat`` sums a segment in an order fixed
+    by its length alone, so a sum does not depend on where its segment
+    lies: one CST's workload is the same bit for bit either way.
+    """
+    if len(starts) == 0:
+        return np.zeros(0, dtype=np.float64)
+    return np.add.reduceat(values, starts)

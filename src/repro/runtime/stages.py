@@ -42,10 +42,10 @@ from repro.common.errors import (
 from repro.costs.cpu import OpCounters
 from repro.cst.builder import build_cst
 from repro.cst.partition import (
-    MaskedCST,
     PartitionLimits,
     PartitionSet,
     PartitionStats,
+    SplitNode,
     partition_cst,
     partition_to_list,
 )
@@ -269,7 +269,7 @@ def _route_partitions(
     fpga_parts = PartitionSet(cst)
     cpu_parts = PartitionSet(cst)
 
-    def sink(node: MaskedCST, workload: float) -> None:
+    def sink(node: SplitNode, workload: float) -> None:
         route = scheduler.assign(node, workload)
         (cpu_parts if route == "cpu" else fpga_parts).add(node)
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.reference import count_reference_embeddings
 from repro.common.errors import PartitionError
+from repro.cst import partition as partition_module
 from repro.cst.builder import build_cst
 from repro.cst.partition import (
     PartitionLimits,
@@ -291,6 +292,44 @@ class TestPartition:
                 assert fits(limits, part)
         assert stats.num_partitions == len(emitted)
         assert stats.total_bytes == sum(p.size_bytes() for p in emitted)
+
+    @pytest.mark.parametrize("members", [
+        lambda n: [1, 2, 3],
+        lambda n: [0, 2, n - 1],
+        lambda n: list(range(n))[::-1],
+    ], ids=["contiguous", "non-contiguous", "reversed"])
+    def test_take_slices_members(self, micro_graph, members):
+        cst, order = make_cst("q2", micro_graph)
+        pset, _ = partition_to_list(cst, order, tight_limits(cst))
+        picked = members(len(pset))
+        taken = pset.take(picked)
+        assert len(taken) == len(picked)
+        assert taken.size_bytes == tuple(pset.size_bytes[m] for m in picked)
+        assert taken.workloads == tuple(pset.workloads[m] for m in picked)
+        for i, m in enumerate(picked):
+            assert_same_cst(taken[i], pset[m])
+            assert taken[i].tree_only == pset[m].tree_only
+
+    def test_narrow_expansion_passes_change_nothing(self, micro_graph,
+                                                    monkeypatch):
+        """Expanding a level in many passes (one node's children each)
+        yields the same partitions, stats and workloads as one pass."""
+        cst, order = make_cst("q1", micro_graph)
+        limits = tight_limits(cst)
+        for split_policy in ("order", "degree"):
+            wide, wide_stats = partition_to_list(
+                cst, order, limits, split_policy=split_policy
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(partition_module, "EXPANSION_BYTES", 1)
+                narrow, narrow_stats = partition_to_list(
+                    cst, order, limits, split_policy=split_policy
+                )
+            assert narrow_stats == wide_stats
+            assert narrow.workloads == wide.workloads
+            assert narrow.size_bytes == wide.size_bytes
+            for got, want in zip(narrow.arrays(), wide.arrays(), strict=True):
+                assert np.array_equal(got, want)
 
     def test_stats_totals(self, micro_graph):
         cst, order = make_cst("q2", micro_graph)

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.reference import (
@@ -22,7 +22,6 @@ from repro.common.errors import (
 from repro.cst.builder import build_cst
 from repro.cst.partition import (
     FlatCST,
-    MaskedCST,
     PartitionLimits,
     PartitionSet,
     partition_cst,
@@ -191,22 +190,20 @@ class TestEngineApi:
 def partition_set(cst, order, limits) -> PartitionSet:
     """Algorithm 2's partitions of ``cst`` packed into one set, with a
     partition that keeps no candidates at all at index 1 (``cst``
-    whole at index 0 when the limits are infeasible)."""
+    whole at index 0 when the limits are infeasible; the empty one
+    alone at index 0 when Algorithm 2 emits none, as it may when
+    ``cst`` holds no embedding)."""
     flat = FlatCST(cst)
-    empty = MaskedCST(flat, np.zeros(flat.voff[-1], dtype=bool),
-                      np.empty(0, dtype=np.int64))
-    parts = PartitionSet(cst)
-
-    def sink(node, _workload):
-        parts.add(node)
-        if len(parts) == 1:
-            parts.add(empty)
-
+    nodes = []
     try:
-        partition_cst(cst, order, limits, sink)
+        partition_cst(cst, order, limits,
+                      lambda node, _workload: nodes.append(node))
     except PartitionError:
-        parts = PartitionSet(cst)
-        sink(flat.root(), 0.0)
+        nodes = [flat.node(np.ones(flat.voff[-1], dtype=bool))]
+    parts = PartitionSet(cst)
+    empty = flat.node(np.zeros(flat.voff[-1], dtype=bool))
+    for node in nodes[:1] + [empty] + nodes[1:]:
+        parts.add(node)
     return parts.pack()
 
 
@@ -239,6 +236,10 @@ class TestLockstep:
         ),
         members=st.sampled_from(sorted(MEMBERS)),
     )
+    # A CST without embeddings: Algorithm 2 emits no partition at all.
+    @example(data_seed=1857, query_seed=860, query_size=5, batch=1,
+             bram_share=1, slr_penalty=0.0, variant="dram", trace=False,
+             collect=False, tail=0, window_bytes=1, members="tail")
     def test_run_many_equals_single_launches(
         self, data_seed, query_seed, query_size, batch, bram_share,
         slr_penalty, variant, trace, collect, tail, window_bytes, members,

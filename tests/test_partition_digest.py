@@ -14,7 +14,10 @@ Two more digest families pin the modeled clock downstream of it: every
 fault-free multi-FPGA runs (identical pools, a heterogeneous fleet,
 ``buffers`` 1 and 2, and a dead-device failover), each over the
 embeddings, modeled total, makespan, every device's kernel report and
-PCIe seconds, and the health record.
+PCIe seconds, and the health record. A last family pins
+``_route_partitions`` on random labeled graphs across split and k
+policies and deltas, plus one partition-capped case whose plain split
+tree raises and whose intercepted replay does not.
 """
 
 from __future__ import annotations
@@ -28,18 +31,35 @@ import numpy as np
 import pytest
 
 import repro.host.runtime as host_runtime
+from repro.common.errors import PartitionError
+from repro.cst.builder import build_cst
+from repro.cst.partition import (
+    PartitionLimits,
+    PartitionSet,
+    partition_cst,
+    partition_to_list,
+)
 from repro.cst.structure import CST
 from repro.experiments.harness import HarnessConfig, make_context, tight_config
 from repro.fpga.config import FpgaConfig
 from repro.fpga.engine import FastEngine
+from repro.graph.generators import random_connected_query, random_labeled_graph
 from repro.host.multi_fpga import MultiFpgaRunner
+from repro.host.scheduler import WorkloadScheduler
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import get_query
+from repro.query.ordering import path_based_order
 from repro.runtime.context import RunContext
 from repro.runtime.executor import ExecutorConfig
 from repro.runtime.faults import FAULT_KINDS, FaultPlan
 from repro.runtime.registry import REGISTRY
-from repro.runtime.stages import build_cst_stage, partition_stage, plan_stage
+from repro.runtime.stages import (
+    ScheduledWork,
+    _route_partitions,
+    build_cst_stage,
+    partition_stage,
+    plan_stage,
+)
 
 #: The perfbench ``shatter`` device: 4 KB of BRAM, 4 ports, batch 16.
 SHATTER = FpgaConfig(bram_bytes=4 * 1024, batch_size=16, max_ports=4)
@@ -263,6 +283,122 @@ def test_multi_fpga_digest(case, graphs):
     runner = MultiFpgaRunner(config=fpga, context=ctx, **runner_kwargs)
     result = runner.run(get_query("q1").graph, graphs["DG-MINI"])
     assert multi_digest(result) == MULTI_DIGESTS[case]
+
+
+#: Random labeled graphs (60 vertices, 300 edges, 3 labels): (data seed,
+#: query seed, query vertices, size divisor, degree divisor, k policy,
+#: split policy, delta) -> digest of the routed partitions. The
+#: divisors set ``delta_S`` and ``delta_D`` from the whole CST's size
+#: and longest row; at delta 0.3 the intercept takes many oversized
+#: CSTs whole.
+RANDOM_DIGESTS = {
+    (669, 642, 6, 21, 3, "greedy", "order", 0.0):
+        "0364c4a0d17a4cf29092c072fd5eaeb7871b4b6b1a55169c2f2ea2349e66c29b",
+    (3007, 3560, 3, 20, 1, 2, "order", 0.0):
+        "c85fa81c726669fb273c60d988f5005120abf46f19c9fa16a43226dd17c529ac",
+    (2007, 4641, 5, 5, 3, 3, "order", 0.0):
+        "2c3e705cd8a1d9e6b38f058dbf521e0cc8de6deb02cfd4ef4bf0a5947f09d030",
+    (4341, 1844, 3, 21, 2, 5, "order", 0.0):
+        "03aaf4b0c138f5b7b3594b75d023e1cb53fd3d31c55a45d184163f813b5dbcfe",
+    (3314, 4972, 4, 34, 1, "greedy", "degree", 0.0):
+        "4935a77e4b2c4920e05825b21395f7f0a28b01c7a844db909a16ffe4e242dd49",
+    (1738, 3940, 3, 27, 2, 2, "degree", 0.0):
+        "3a3c3dea45c08a01d7d6360078d12f7018fe7763ce64f583d209768d6c59d854",
+    (4911, 4904, 3, 10, 2, 3, "degree", 0.0):
+        "92ccfdf4c85889a778307a0491b9067515edf52e89061bbdcc4629d61dc70d82",
+    (2768, 4119, 4, 39, 2, 5, "degree", 0.0):
+        "061cc16b7fcc9d9be5b3a882763c743db045d0a44be961f5f6ed6f19f2ef1c5e",
+    (4641, 2957, 5, 11, 3, "greedy", "order", 0.1):
+        "1dd1745c136606037afc6222cdc730414edfe948bccc0cd32f08a68c6f9df78c",
+    (3893, 2335, 5, 13, 1, 2, "order", 0.1):
+        "ba71081b5eaa2d736ab739190f1d1e6ffb2ab8f1c992801b41b1307d32d6abda",
+    (415, 4863, 6, 14, 2, 3, "order", 0.1):
+        "0fa40feb905957cc421a9311bc9c1146566c70a49258935bf375f912c533bf94",
+    (3057, 165, 3, 10, 2, 5, "order", 0.1):
+        "0c91c2c7e4bc681296d612cb94bdc55aec8840ce78b32f3efee6f54bc03e44d1",
+    (1728, 3634, 4, 15, 4, "greedy", "degree", 0.1):
+        "ee36c9a3d066a50feb4114ac367f831f6003743c1ec0c3f0ca17ed795cd6cded",
+    (84, 1534, 3, 3, 4, 2, "degree", 0.1):
+        "ecd334473fbae33f51ed766d8e049b68a3593692677c67d5a8123032cfa942a5",
+    (273, 2486, 3, 10, 4, 3, "degree", 0.1):
+        "0843706f4504aa4d1b582e62f8379430e1ad51b52a1c467d2cffdc931f262331",
+    (365, 2939, 3, 14, 4, 5, "degree", 0.1):
+        "036e6cd2f7969026172ad65734bca1cecdb4ea207de8fd352c002af1fd5cbea5",
+    (1586, 1545, 3, 31, 1, "greedy", "order", 0.3):
+        "74c4e2530a3141121b42865b4be498ebf336897d8edd9c3d6f2c868acf45ec33",
+    (2494, 122, 3, 34, 1, 2, "order", 0.3):
+        "6ab369679604f956c39f0d806740801c6df3e1098d70272ee05b851f8b168ca5",
+    (2331, 2136, 3, 26, 3, 3, "order", 0.3):
+        "c7bc995ddcf61decd0213a79c23388aa3a5c9463127eedd154af02f3ee04f5f1",
+    (464, 3486, 3, 16, 2, 5, "order", 0.3):
+        "4bb0a9c8dff49995fb90433fd39728ff2413c351e8e072d029028ae8e0e68cae",
+    (4699, 3635, 5, 21, 2, "greedy", "degree", 0.3):
+        "09f35035c9bc18a5b2a7e44ffc34e44c0d3bd6625ebe51e98370031614ab74cd",
+    (4264, 4731, 3, 12, 2, 2, "degree", 0.3):
+        "e893faf3aba80523c01c02b2532fe264f36884d7d1ace84378dee4cdd1baea4c",
+    (2385, 1290, 4, 39, 2, 3, "degree", 0.3):
+        "a6475a28c69d47719df07dafafc7be823e997ef25bcbff679111eea15783c230",
+    (4705, 2515, 4, 37, 2, 5, "degree", 0.3):
+        "c2473aaf1f3885a3224d1476f91b3c6bee107cc32d63707b4a914fff4be04283",
+}
+
+
+def random_problem(data_seed, query_seed, query_size, size_divisor,
+                   degree_divisor):
+    """A random CST, its matching order and its partition limits."""
+    data = random_labeled_graph(60, 300, 3, seed=data_seed)
+    query = random_connected_query(
+        query_size, min(query_size * (query_size - 1) // 2, query_size + 2),
+        3, seed=query_seed,
+    )
+    cst = build_cst(query, data)
+    limits = PartitionLimits(
+        max_bytes=max(200, cst.size_bytes() // size_divisor),
+        max_degree=max(2, cst.max_candidate_degree() // degree_divisor),
+    )
+    return cst, path_based_order(cst.tree, data), limits
+
+
+@pytest.mark.parametrize("case", list(RANDOM_DIGESTS),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_random_partition_digest(case):
+    cst, order, limits = random_problem(*case[:5])
+    work = _route_partitions(cst, order, limits, *case[5:])
+    assert work.stats.num_splits > 0
+    assert work_digest(work, order) == RANDOM_DIGESTS[case]
+
+
+#: A random case whose split tree emits 242 partitions, while
+#: FAST-SHARE's intercept at delta 0.3 takes oversized CSTs whole and
+#: leaves 75: under a cap of 100 only the plain run raises.
+CAPPED_CASE = (848, 2391, 5, 13, 2, "greedy", "degree", 0.3)
+CAPPED_DIGEST = (
+    "01fa398a45ea1835850540dc6ef9b7095d6874f068f1bfbecba578e71237738e"
+)
+
+
+def test_intercept_spares_the_capped_tree():
+    """The partition cap raises only when the replay reaches it: the
+    plain tree passes the cap, and the intercepted replay of the same
+    tree never gets there."""
+    cst, order, limits = random_problem(*CAPPED_CASE[:5])
+    k_policy, split_policy, delta = CAPPED_CASE[5:]
+    with pytest.raises(PartitionError, match="more than 100 partitions"):
+        partition_to_list(cst, order, limits, k_policy, max_partitions=100,
+                          split_policy=split_policy)
+    scheduler = WorkloadScheduler(delta=delta)
+    fpga_parts, cpu_parts = PartitionSet(cst), PartitionSet(cst)
+
+    def sink(node, workload):
+        route = scheduler.assign(node, workload)
+        (cpu_parts if route == "cpu" else fpga_parts).add(node)
+
+    stats = partition_cst(
+        cst, order, limits, sink, k_policy, max_partitions=100,
+        intercept=scheduler.would_accept_cpu, split_policy=split_policy,
+    )
+    work = ScheduledWork(fpga_parts.pack(), cpu_parts.pack(), stats)
+    assert work_digest(work, order) == CAPPED_DIGEST
 
 
 def test_partitions_freed_without_gc(graphs):

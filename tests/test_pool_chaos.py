@@ -34,6 +34,7 @@ from repro.experiments.harness import (
 )
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import get_query
+from repro.runtime.faults import HOST_FAULT_KINDS, HostFaultPlan
 from repro.runtime.registry import REGISTRY
 from repro.serve import MatchServer, ServeConfig
 
@@ -204,6 +205,11 @@ CHILD_SCRIPT = textwrap.dedent("""
     out = REGISTRY.get(backend).run(
         ctx, get_query("q1").graph, load_dataset("DG-MINI").graph
     )
+    pool = ctx.worker_pool
+    print(json.dumps({} if pool is None else {
+        "pool_tasks": pool.stats.chunks,
+        "supervision": pool.stats.respawns + pool.stats.shm_fallbacks,
+    }), file=sys.stderr)
     ctx.close()
     print(json.dumps({
         "embeddings": out.embeddings,
@@ -233,6 +239,9 @@ class TestKillResumeUnderChaos:
     """A run SIGKILLed mid-execute *while host faults are firing*
     resumes bit-identically — the journal and the pool compose."""
 
+    #: Fires a worker kill at pool task 0 and shm loss at task 1.
+    HOST_SEED = 14
+
     def test_resume_bit_identical_with_host_faults(self, tmp_path):
         before = shm_segments()
         journal = tmp_path / "chaos.jsonl"
@@ -241,7 +250,7 @@ class TestKillResumeUnderChaos:
 
         killed = run_child(
             "fast-sep", journal, "record",
-            host_seed=7, workers=3, crash_after=5,
+            host_seed=self.HOST_SEED, workers=3, crash_after=5,
         )
         assert killed.returncode == -signal.SIGKILL, (
             f"expected SIGKILL, got rc={killed.returncode}: "
@@ -253,10 +262,22 @@ class TestKillResumeUnderChaos:
 
         resumed = run_child(
             "fast-sep", journal, "resume",
-            host_seed=7, workers=3,
+            host_seed=self.HOST_SEED, workers=3,
         )
         assert resumed.returncode == 0, resumed.stderr[-800:]
         assert resumed.stdout == baseline.stdout
+        # Both runs dispatch pool tasks from index 0 on. The comparison
+        # shows nothing unless a host fault fires at one of them.
+        pool = next(
+            json.loads(line) for line in resumed.stderr.splitlines()
+            if line.startswith('{"pool_tasks"')
+        )
+        plan = HostFaultPlan(seed=self.HOST_SEED)
+        assert any(
+            plan.fires(kind, i) > 0
+            for kind in HOST_FAULT_KINDS for i in range(pool["pool_tasks"])
+        )
+        assert pool["supervision"] > 0
         # The SIGKILLed parent's orphaned workers and arena segments
         # must be gone (parent-death tether + resource tracker).
         assert_no_new_segments(before)

@@ -36,7 +36,6 @@ from repro.common.errors import DeadlineExceededError
 from repro.cst.builder import build_cst
 from repro.cst.partition import (
     FlatCST,
-    MaskedCST,
     PartitionLimits,
     PartitionSet,
     partition_to_list,
@@ -163,8 +162,7 @@ class TestDescriptorRoundTrip:
         cst = build_cst(get_query("q1").graph, micro_graph)
         flat = FlatCST(cst)
         pset = PartitionSet(cst)
-        pset.add(MaskedCST(flat, np.zeros(flat.voff[-1], dtype=bool),
-                           np.empty(0, dtype=np.int64)))
+        pset.add(flat.node(np.zeros(flat.voff[-1], dtype=bool)))
         pset.pack()
         arena = CstArena()
         try:
