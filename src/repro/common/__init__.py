@@ -8,6 +8,7 @@ from repro.common.errors import (
     GraphError,
     JournalError,
     JournalMismatchError,
+    JournalVersionError,
     ModeledOutOfMemory,
     ModeledOverflow,
     ModeledTimeout,
@@ -30,6 +31,7 @@ __all__ = [
     "GraphError",
     "JournalError",
     "JournalMismatchError",
+    "JournalVersionError",
     "ModeledOutOfMemory",
     "ModeledOverflow",
     "ModeledTimeout",

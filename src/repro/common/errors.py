@@ -123,6 +123,15 @@ class JournalError(ReproError):
     """The run journal is missing, unreadable, or misused."""
 
 
+class JournalVersionError(JournalError):
+    """A journal was written in another record format version.
+
+    Its records cannot be read back faithfully (a version-1 journal
+    stores traced module lanes as expanded spans), so the resume is
+    refused rather than replayed.
+    """
+
+
 class JournalMismatchError(JournalError):
     """A resume was attempted against a journal of a *different* run.
 

@@ -22,7 +22,7 @@ cycles for each round from the measured batch shape:
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from repro.fpga.kernel import (
     visited_validate,
 )
 from repro.fpga.pipeline import chained, overlapped, pipelined_cycles
-from repro.fpga.report import KernelReport
+from repro.fpga.report import ROUND_COLUMNS, KernelReport, LaunchRows
 
 #: Recognised engine variants, in the paper's optimisation order.
 VARIANTS = ("dram", "basic", "task", "sep")
@@ -76,8 +76,8 @@ class FastEngine:
             )
         self.config = config or FpgaConfig()
         self.variant = variant
-        # When set, every report carries per-round module occupancy
-        # spans on the card's serial cycle clock (Fig. 5 lanes); off by
+        # When set, every report carries its launch's round rows, from
+        # which :func:`module_spans` rebuilds the Fig. 5 lanes; off by
         # default so the hot path allocates nothing extra.
         self.trace_modules = trace_modules
 
@@ -166,8 +166,10 @@ class FastEngine:
         cursors and fixed buffer slots, so every report equals
         ``run(parts[m], plan=plan)``, where the partition runs alone in
         the scalar machine, field for field: cycles, N, M, pops, buffer
-        peaks, SLR crossing, results and module spans. Only host wall
-        time changes. Empty partitions get an empty report.
+        peaks, SLR crossing, results and, when ``trace_modules`` is
+        set, the launch's round rows (one :class:`LaunchRows`, whose
+        :func:`module_spans` are the Fig. 5 lanes). Only host wall time
+        changes. Empty partitions get an empty report.
         """
         reports = [self._new_report(collect_results) for _ in members]
         empty = (np.diff(parts.offsets, axis=1) == 0).any(axis=0)
@@ -339,12 +341,12 @@ class FastEngine:
             bounds = np.cumsum([row[5] for row in sums]).tolist()
             results = [rows[b - row[5]:b] for b, row in zip(bounds, sums)]
         if self.trace_modules:
-            shapes_by_round = np.stack(
+            round_rows = np.stack(
                 [pops, new, tasks, checks, flush], axis=1
-            ).tolist()
+            ).astype(np.int64, copy=False)
         peaks = bufs.peak.T.tolist()
         for p, (m, report) in enumerate(zip(members.tolist(), reports)):
-            cursor = self._charge_load(report, parts.size_bytes[m])
+            self._charge_load(report, parts.size_bytes[m])
             pops_p, new_p, tasks_p, cycles_p, flush_p, done_p = sums[p]
             report.rounds = int(rounds[p])
             report.total_partials = new_p
@@ -355,16 +357,17 @@ class FastEngine:
             report.embeddings = done_p
             if results:
                 report.results.extend(results[p])
-            if self.trace_modules:
-                lo = int(first[p])
-                for row in shapes_by_round[lo:lo + int(rounds[p])]:
-                    cursor = self._trace_round(
-                        report.module_spans, cursor, *row
-                    )
             report.buffer_peaks = {
                 d: peaks[p][d] for d in range(1, n_steps)
             }
-            self._charge_slr(report, parts.size_bytes[m], cursor)
+            self._charge_slr(report, parts.size_bytes[m])
+            if self.trace_modules:
+                # A copy of the member's rows: the window's log goes.
+                lo = int(first[p])
+                report.launch_rows.append(LaunchRows(
+                    round_rows[lo:lo + int(rounds[p])].tobytes(),
+                    report.load_cycles, report.slr_crossing_cycles,
+                ))
 
     # ------------------------------------------------------------------
     # Report set-up and per-launch charges
@@ -378,24 +381,15 @@ class FastEngine:
         if collect_results:
             report.results = []
         if self.trace_modules:
-            report.module_spans = []
+            report.launch_rows = []
         return report
 
-    def _charge_load(self, report: KernelReport, size_bytes: int) -> float:
-        """Charge the streamed BRAM load of a ``size_bytes`` partition;
-        returns the span cursor."""
-        if self.variant == "dram":
-            return 0.0
-        report.load_cycles += self.config.load_cycles(size_bytes)
-        if self.trace_modules and report.load_cycles:
-            report.module_spans.append(
-                ("load", 0.0, float(report.load_cycles))
-            )
-            return float(report.load_cycles)
-        return 0.0
+    def _charge_load(self, report: KernelReport, size_bytes: int) -> None:
+        """Charge the streamed BRAM load of a ``size_bytes`` partition."""
+        if self.variant != "dram":
+            report.load_cycles += self.config.load_cycles(size_bytes)
 
-    def _charge_slr(self, report: KernelReport, size_bytes: int,
-                    cursor: float) -> None:
+    def _charge_slr(self, report: KernelReport, size_bytes: int) -> None:
         """Charge cross-SLR accesses once the launch's N and M are in."""
         cfg = self.config
         if cfg.slr_count > 1 and cfg.slr_crossing_penalty_cycles > 0:
@@ -406,21 +400,18 @@ class FastEngine:
             # can avoid it entirely by placing small partitions well.
             remote = cfg.slr_remote_fraction(size_bytes)
             if remote > 0.0:
-                crossing = cfg.slr_crossing_penalty_cycles * remote * (
-                    report.total_partials + report.total_edge_tasks
-                )
-                report.slr_crossing_cycles = crossing
-                if self.trace_modules and crossing:
-                    report.module_spans.append(
-                        ("slr_crossing", cursor, cursor + crossing)
+                report.slr_crossing_cycles = (
+                    cfg.slr_crossing_penalty_cycles * remote * (
+                        report.total_partials + report.total_edge_tasks
                     )
+                )
 
     def _trace_round(
         self, spans: list, cursor: float, n_pop: int, n_new: int,
-        n_tasks: int, checks: int, flush: float,
+        n_tasks: int, checks: int, flush: int,
     ) -> float:
-        """Append one round's module spans (and its result flush) at
-        ``cursor``; returns the next cursor."""
+        """Append one round row's module spans (and its result flush)
+        at ``cursor``; returns the next cursor."""
         stages = self._stage_cycles(n_pop, n_new, n_tasks, checks)
         round_cycles = self._CYCLE_MODELS[self.variant](
             self, stages, n_pop, n_new, n_tasks
@@ -572,6 +563,41 @@ class FastEngine:
             )
             spans.append(("load", cursor, cursor + gap))
         return spans
+
+
+def module_spans(
+    config: FpgaConfig, variant: str, launches: Iterable[LaunchRows],
+) -> list[tuple[str, float, float]]:
+    """The Fig. 5 module spans ``(lane, start_cycle, end_cycle)`` of
+    ``launches`` on the serial cycle clock of the card that ran them.
+
+    Each launch's spans are rebuilt from its round rows: its ``load``
+    span, then every round's module spans and result flush, then its
+    ``slr_crossing`` span, with the cursor arithmetic of the cycle
+    account; its merge offsets are then added one at a time in merge
+    order. So the floats are the ones the launch's own cycle account
+    yields, bit for bit, however often its report was merged.
+    """
+    engine = FastEngine(config, variant)
+    width = len(ROUND_COLUMNS)
+    spans: list[tuple[str, float, float]] = []
+    for launch in launches:
+        first = len(spans)
+        cursor = float(launch.load_cycles)
+        if launch.load_cycles:
+            spans.append(("load", 0.0, cursor))
+        rows = np.frombuffer(launch.rows, dtype=np.int64)
+        for row in rows.reshape(-1, width).tolist():
+            cursor = engine._trace_round(spans, cursor, *row)
+        crossing = launch.slr_crossing_cycles
+        if crossing:
+            spans.append(("slr_crossing", cursor, cursor + crossing))
+        for offset in launch.offsets:
+            spans[first:] = [
+                (lane, start + offset, end + offset)
+                for lane, start, end in spans[first:]
+            ]
+    return spans
 
 
 def _to_query_indexed(

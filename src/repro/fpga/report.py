@@ -9,6 +9,29 @@ derive from cycles at the configured clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+#: Columns of one round row: entries popped, new partials, edge tasks,
+#: edge checks per partial, and result-flush cycles.
+ROUND_COLUMNS = ("pops", "new", "tasks", "checks", "flush")
+
+
+class LaunchRows(NamedTuple):
+    """One kernel launch's Fig. 5 module occupancy, as round rows.
+
+    ``rows`` holds the launch's kernel rounds in order, one
+    :data:`ROUND_COLUMNS` row of int64 each, as bytes: immutable,
+    compact, and owned by the launch alone. With the launch's load and
+    SLR-crossing cycles that is all
+    :func:`repro.fpga.engine.module_spans` needs to rebuild the
+    per-module spans. ``offsets`` are the serial-clock shifts that
+    :meth:`KernelReport.merge` added, in merge order.
+    """
+
+    rows: bytes
+    load_cycles: float
+    slr_crossing_cycles: float
+    offsets: tuple[float, ...] = ()
 
 
 @dataclass
@@ -32,12 +55,12 @@ class KernelReport:
     num_csts: int = 0
     buffer_peaks: dict[int, int] = field(default_factory=dict)
     results: list[tuple[int, ...]] | None = None
-    #: Optional per-module occupancy spans ``(lane, start_cycle,
-    #: end_cycle)`` on the card's serial cycle clock, recorded only when
-    #: the engine runs with ``trace_modules=True`` (see
-    #: docs/observability.md). ``None`` when tracing is off, so the
-    #: default path allocates nothing.
-    module_spans: list[tuple[str, float, float]] | None = None
+    #: Per-launch module occupancy as round rows, recorded only when
+    #: the engine runs with ``trace_modules=True``; the tracer expands
+    #: them into per-module spans on the card's serial cycle clock at
+    #: export (see docs/observability.md). ``None`` when tracing is
+    #: off, so the default path allocates nothing.
+    launch_rows: list[LaunchRows] | None = None
 
     @property
     def total_cycles(self) -> float:
@@ -57,16 +80,17 @@ class KernelReport:
                 f"cannot merge report of variant {other.variant!r} into "
                 f"{self.variant!r}"
             )
-        if other.module_spans is not None:
+        if other.launch_rows is not None:
             # Shift onto this report's cycle clock *before* the cycle
             # counters accumulate: merged reports read as one card
-            # executing the launches back to back.
+            # executing the launches back to back. New launch tuples,
+            # so a launch already handed to the tracer never moves.
             offset = self.total_cycles
-            if self.module_spans is None:
-                self.module_spans = []
-            self.module_spans.extend(
-                (lane, start + offset, end + offset)
-                for lane, start, end in other.module_spans
+            if self.launch_rows is None:
+                self.launch_rows = []
+            self.launch_rows.extend(
+                launch._replace(offsets=(*launch.offsets, offset))
+                for launch in other.launch_rows
             )
         self.compute_cycles += other.compute_cycles
         self.load_cycles += other.load_cycles

@@ -50,6 +50,13 @@ class FamilySpec:
     buckets: tuple[float, ...] | None = None
 
 
+#: Warm worker-pool supervision events, the ``event`` label values of
+#: the ``*_pool_events`` families (:class:`repro.runtime.pool.PoolStats`
+#: fields).
+POOL_EVENTS = ("spawned", "respawns", "redispatches", "hedges",
+               "quarantines", "shm_fallbacks", "stall_kills")
+
+
 def run_families(prefix: str = "fast") -> tuple[FamilySpec, ...]:
     """The per-run families, in their canonical emission order."""
     p = prefix
@@ -129,6 +136,13 @@ def serve_families() -> tuple[FamilySpec, ...]:
         FamilySpec(f"{p}_cache_events", "counter",
                    "Resident stage-cache hits/misses/evictions by "
                    "namespace.", suffix="_total"),
+        FamilySpec(f"{p}_pool_events", "counter",
+                   "Supervision actions of the server's warm worker "
+                   "pool over its lifetime, by event.",
+                   suffix="_total"),
+        FamilySpec(f"{p}_pool_chunks", "counter",
+                   "Tasks dispatched to the server's warm worker pool "
+                   "over its lifetime.", suffix="_total"),
         FamilySpec(f"{p}_modeled_latency_p99_seconds", "gauge",
                    "99th-percentile modeled latency of OK/DEGRADED "
                    "jobs."),
@@ -354,8 +368,7 @@ def build_run_registry(
             reg.set(f"{p}_partitions", {**base, "kind": kind},
                     float(source[key]))
     if execute.get("pool") == "process":
-        for event in ("spawned", "respawns", "redispatches", "hedges",
-                      "quarantines", "shm_fallbacks", "stall_kills"):
+        for event in POOL_EVENTS:
             if f"pool_{event}" in execute:
                 reg.set(f"{p}_pool_events", {**base, "event": event},
                         float(execute.get(f"pool_{event}", 0)))

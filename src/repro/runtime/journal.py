@@ -48,21 +48,27 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.common.errors import JournalError, JournalMismatchError
+from repro.common.errors import (
+    JournalError,
+    JournalMismatchError,
+    JournalVersionError,
+)
 from repro.common.io import (
     atomic_write_json,
     file_lock,
     fsync_append,
     read_jsonl,
 )
-from repro.fpga.report import KernelReport
+from repro.fpga.report import ROUND_COLUMNS, KernelReport, LaunchRows
 from repro.graph.graph import Graph
 from repro.host.cpu_matcher import CpuMatchCounters
 from repro.runtime.executor import PartitionOutcome
 from repro.runtime.faults import FaultEvent, HealthReport
 
 #: Journal schema version (bumped on incompatible record changes).
-JOURNAL_VERSION = 1
+#: Version 2 stores a traced report's module occupancy as round rows
+#: (``launch_rows``) where version 1 stored expanded module spans.
+JOURNAL_VERSION = 2
 
 #: Environment hook for crash-safety tests: after this many appended
 #: records the journal SIGKILLs its own process mid-run.
@@ -155,21 +161,38 @@ def report_to_dict(report: KernelReport) -> dict[str, Any]:
     }
     if report.results is not None:
         out["results"] = [list(r) for r in report.results]
-    if report.module_spans is not None:
-        out["module_spans"] = [
-            [lane, start, end] for lane, start, end in report.module_spans
+    if report.launch_rows is not None:
+        out["launch_rows"] = [
+            {
+                "rows": np.frombuffer(launch.rows, dtype=np.int64)
+                .reshape(-1, len(ROUND_COLUMNS)).tolist(),
+                "load_cycles": launch.load_cycles,
+                "slr_crossing_cycles": launch.slr_crossing_cycles,
+                "offsets": list(launch.offsets),
+            }
+            for launch in report.launch_rows
         ]
     return out
+
+
+def _launch_from_dict(payload: Mapping[str, Any]) -> LaunchRows:
+    rows = np.array(payload["rows"], dtype=np.int64)
+    return LaunchRows(
+        rows=rows.tobytes(),
+        load_cycles=payload["load_cycles"],
+        slr_crossing_cycles=payload["slr_crossing_cycles"],
+        offsets=tuple(payload["offsets"]),
+    )
 
 
 def report_from_dict(payload: Mapping[str, Any]) -> KernelReport:
     """Inverse of :func:`report_to_dict` (bit-identical round trip)."""
     results = payload.get("results")
-    module_spans = payload.get("module_spans")
+    launch_rows = payload.get("launch_rows")
     return KernelReport(
-        module_spans=(
-            None if module_spans is None
-            else [(lane, start, end) for lane, start, end in module_spans]
+        launch_rows=(
+            None if launch_rows is None
+            else [_launch_from_dict(launch) for launch in launch_rows]
         ),
         variant=payload["variant"],
         clock_mhz=payload["clock_mhz"],
@@ -323,7 +346,7 @@ class RunJournal:
             )
         header = records[0]
         if header.get("version") != JOURNAL_VERSION:
-            raise JournalError(
+            raise JournalVersionError(
                 f"journal {self.path} has version {header.get('version')}, "
                 f"expected {JOURNAL_VERSION}"
             )

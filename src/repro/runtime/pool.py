@@ -268,6 +268,11 @@ class PoolStats:
     def to_dict(self) -> dict[str, int]:
         return asdict(self)
 
+    def __add__(self, other: "PoolStats") -> "PoolStats":
+        theirs = other.to_dict()
+        return PoolStats(**{k: v + theirs[k]
+                            for k, v in self.to_dict().items()})
+
 
 class _Worker:
     """Parent-side record of one worker process."""

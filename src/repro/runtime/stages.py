@@ -1102,8 +1102,8 @@ def execute_stage(
                 # modeled half of a trace is deterministic at any
                 # ``workers`` (wall lanes are real time and are not).
                 trace_device_lanes(
-                    tracer, dq.index, schedule, kernel.module_spans,
-                    dq.fpga.clock_mhz, part=dq.part,
+                    tracer, dq.index, schedule, kernel, dq.fpga,
+                    part=dq.part,
                 )
                 if fetch:
                     tracer.span(

@@ -18,7 +18,10 @@ Chrome trace-event JSON (:meth:`Tracer.to_chrome_trace`)
     and operation counts — never from wall time, so modeled tracks
     are bit-deterministic under a fixed seed at any ``--workers``).
     One lane (tid) per track: stages, per-device pcie/kernel lanes,
-    one lane per kernel module, host CPU share, faults, journal.
+    one lane per kernel module, host CPU share, faults, journal. The
+    kernel-module lanes are recorded as one :class:`ModuleLanes` entry
+    of round rows per device and run, and expanded into spans only
+    here.
 
 Prometheus text exposition (:func:`repro.obs.registry.build_run_registry`)
     The run's metrics payload — embeddings, partitions executed /
@@ -99,6 +102,45 @@ class Span:
     args: dict[str, Any] | None = None
 
 
+@dataclass(frozen=True)
+class ModuleLanes:
+    """One device's kernel-module lanes of one run, not yet expanded.
+
+    The launches' round rows (:class:`~repro.fpga.report.LaunchRows`)
+    with what their expansion needs: the card's config and variant,
+    the clock the cycles convert at, and the request in force when
+    recorded. It takes one slot among a tracer's spans; the exporter
+    replaces it in place by :meth:`spans`. ``track`` is the lanes'
+    common prefix, so code that filters spans by track sees it too.
+    """
+
+    track: str
+    config: Any
+    variant: str
+    launches: tuple
+    clock_mhz: float
+    args: dict[str, Any] | None = None
+
+    def spans(self) -> list[Span]:
+        """One modeled span per module occupancy interval, in the
+        order the engine's cycle account lays them out."""
+        from repro.fpga.engine import module_spans
+
+        hz = self.clock_mhz * 1e6
+        return [
+            Span(
+                track=f"{self.track}/{lane}", name=lane,
+                start=start / hz, duration=(end - start) / hz,
+                clock=MODELED,
+                args={"module": MODULE_OF_LANE.get(lane, lane),
+                      **(self.args or {})},
+            )
+            for lane, start, end in module_spans(
+                self.config, self.variant, self.launches
+            )
+        ]
+
+
 @dataclass
 class Instant:
     """One zero-duration event (fault fired, journal record landed)."""
@@ -125,7 +167,7 @@ class Tracer:
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        self.spans: list[Span] = []
+        self.spans: list[Span | ModuleLanes] = []
         self.instants: list[Instant] = []
         self.counters: dict[str, float] = {}
         self._lock = threading.Lock()
@@ -202,6 +244,22 @@ class Tracer:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0.0) + value
 
+    def module_lanes(self, track: str, config: Any, variant: str,
+                     launches: Sequence, clock_mhz: float) -> None:
+        """Record kernel-module lanes as one deferred entry (no-op when
+        disabled); the export expands it (:class:`ModuleLanes`)."""
+        if not self.enabled:
+            return
+        args = (
+            None if self._request_id is None
+            else {"request_id": self._request_id}
+        )
+        with self._lock:
+            self.spans.append(ModuleLanes(
+                track=track, config=config, variant=variant,
+                launches=tuple(launches), clock_mhz=clock_mhz, args=args,
+            ))
+
     def on_journal_append(self, record: Mapping[str, Any]) -> None:
         """Journal hook: one counter bump + wall instant per append."""
         if not self.enabled:
@@ -214,10 +272,22 @@ class Tracer:
 
     # -- export --------------------------------------------------------
 
-    def _tracks(self) -> dict[tuple[str, str], int]:
-        """Stable ``(clock, track) -> tid`` assignment (sorted)."""
+    def _expanded(self) -> list[Span]:
+        """The recorded spans, each :class:`ModuleLanes` entry replaced
+        in place by its module spans."""
+        spans: list[Span] = []
+        for s in self.spans:
+            if isinstance(s, ModuleLanes):
+                spans.extend(s.spans())
+            else:
+                spans.append(s)
+        return spans
+
+    def _tracks(self, spans: Sequence[Span]) -> dict[tuple[str, str], int]:
+        """Stable ``(clock, track) -> tid`` assignment (sorted) over
+        the expanded ``spans`` and the instants."""
         seen = sorted(
-            {(s.clock, s.track) for s in self.spans}
+            {(s.clock, s.track) for s in spans}
             | {(i.clock, i.track) for i in self.instants}
         )
         tids: dict[tuple[str, str], int] = {}
@@ -234,8 +304,10 @@ class Tracer:
         events are real microseconds since the tracer epoch, modeled
         events are modeled microseconds since run start — load either
         process in Perfetto and the lanes line up on its own clock.
+        Kernel-module lanes are expanded from their round rows here.
         """
-        tids = self._tracks()
+        spans = self._expanded()
+        tids = self._tracks(spans)
         events: list[dict[str, Any]] = []
         for clock, pid in sorted(CLOCK_PIDS.items()):
             events.append({
@@ -248,7 +320,7 @@ class Tracer:
                 "pid": CLOCK_PIDS[clock], "tid": tid,
                 "args": {"name": track},
             })
-        for s in self.spans:
+        for s in spans:
             events.append({
                 "name": s.name, "ph": "X", "cat": s.clock,
                 "pid": CLOCK_PIDS[s.clock],
@@ -294,8 +366,8 @@ def trace_device_lanes(
     tracer: Tracer,
     device: int,
     schedule: Sequence[tuple[float, float, float, float]],
-    module_spans: Sequence[tuple[str, float, float]] | None,
-    clock_mhz: float,
+    kernel: Any,
+    config: Any,
     part: str | None = None,
 ) -> None:
     """Emit one device's modeled lanes from its overlap schedule.
@@ -303,10 +375,13 @@ def trace_device_lanes(
     ``schedule`` is :func:`repro.runtime.executor.overlap_schedule`
     output — one ``(transfer_start, transfer_end, kernel_start,
     kernel_end)`` per launch — drawn as the ``pcie`` and ``kernel``
-    lanes. ``module_spans`` are the engine's per-round occupancy spans
-    on the card's *serial* cycle clock (launches back to back, no PCIe
-    gaps), converted to seconds at ``clock_mhz`` and drawn one lane per
-    kernel module — the view that reproduces Fig. 5. The single-FPGA
+    lanes. ``kernel`` is the device's merged
+    :class:`~repro.fpga.report.KernelReport`; its launches' round rows
+    become one :class:`ModuleLanes` entry, which the export expands
+    into per-round occupancy spans on the card's *serial* cycle clock
+    (launches back to back, no PCIe gaps), converted to seconds at the
+    report's clock and drawn one lane per kernel module of the card
+    ``config`` — the view that reproduces Fig. 5. The single-FPGA
     execute stage emits device 0; the multi-FPGA runner one device per
     lane group, in device-index order, so traces stay deterministic.
     ``part`` labels the lane group with the device's catalog part name
@@ -321,14 +396,9 @@ def trace_device_lanes(
         if k_end > k_start:
             tracer.span(f"{prefix}/kernel", f"kernel p{n}", k_start,
                         k_end - k_start, clock=MODELED, launch=n)
-    if module_spans:
-        hz = clock_mhz * 1e6
-        for lane, start_cycle, end_cycle in module_spans:
-            tracer.span(
-                f"{prefix}/module/{lane}", lane,
-                start_cycle / hz, (end_cycle - start_cycle) / hz,
-                clock=MODELED, module=MODULE_OF_LANE.get(lane, lane),
-            )
+    if kernel.launch_rows:
+        tracer.module_lanes(f"{prefix}/module", config, kernel.variant,
+                            kernel.launch_rows, kernel.clock_mhz)
 
 
 # ----------------------------------------------------------------------

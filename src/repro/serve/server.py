@@ -62,12 +62,12 @@ from repro.ldbc.datasets import load_dataset
 from repro.ldbc.generator import LdbcDataset
 from repro.ldbc.queries import get_query
 from repro.runtime.context import StageCache, build_worker_pool
-from repro.runtime.journal import DeviceHealthLedger
-from repro.runtime.pool import WorkerPool
+from repro.runtime.journal import JOURNAL_VERSION, DeviceHealthLedger
+from repro.runtime.pool import PoolStats, WorkerPool
 from repro.runtime.registry import REGISTRY
 from repro.obs.httpd import ObservabilityHTTPServer
 from repro.obs.logs import JsonLogger
-from repro.obs.registry import MetricsRegistry, serve_families
+from repro.obs.registry import POOL_EVENTS, MetricsRegistry, serve_families
 from repro.obs.slo import SloTracker
 from repro.runtime.shm import CstArena
 from repro.runtime.tracing import WALL, Tracer
@@ -283,6 +283,8 @@ class MatchServer:
         self._seq = 0
         self._arena: CstArena | None = None
         self._pool: WorkerPool | None = None
+        #: Supervision counters of the pools this server has closed.
+        self._retired_pool_stats = PoolStats()
         self._manifest_fd: int | None = None
         self._recovered: list[tuple[JobRequest, str | None]] = []
         # Observability plane: declared-family registry (refreshed
@@ -365,8 +367,10 @@ class MatchServer:
             if journal is not None:
                 candidate = state_dir / journal
                 # Resume only a journal that got far enough to be
-                # replayable (header written); otherwise rerun fresh.
-                if candidate.exists() and read_jsonl(candidate):
+                # replayable (header written) in this record format;
+                # otherwise rerun fresh.
+                head = read_jsonl(candidate)[:1] if candidate.exists() else []
+                if head and head[0].get("version") == JOURNAL_VERSION:
                     resume = str(candidate)
             self._recovered.append((job, resume))
         self._recovered.sort(key=lambda item: item[0].seq)
@@ -402,9 +406,7 @@ class MatchServer:
         if self._manifest_fd is not None:
             os.close(self._manifest_fd)
             self._manifest_fd = None
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        self._retire_pool()
         if self._arena is not None:
             self._arena.close()
             self._arena = None
@@ -614,10 +616,27 @@ class MatchServer:
         job context ``ctx``'s executor config and host-fault plan.
         """
         if self._pool is None or self._pool.closed:
+            self._retire_pool()
             self._pool = build_worker_pool(
                 ctx.executor, ctx.host_fault_plan
             )
         return self._pool
+
+    def _retire_pool(self) -> None:
+        """Close the warm pool and keep its supervision counters."""
+        if self._pool is not None:
+            self._pool.close()
+            self._retired_pool_stats += self._pool.stats
+            self._pool = None
+
+    def pool_stats(self) -> PoolStats | None:
+        """Supervision counters summed over every warm pool this server
+        has run, or ``None`` when it never started one."""
+        if self._pool is None:
+            if self._retired_pool_stats == PoolStats():
+                return None
+            return self._retired_pool_stats
+        return self._retired_pool_stats + self._pool.stats
 
     def _make_context(self, harness_cfg: HarnessConfig):
         ctx = make_context(harness_cfg, cache=self.cache)
@@ -637,6 +656,10 @@ class MatchServer:
             ctx.worker_pool = pool
         if self.tracer.enabled:
             ctx.tracer = self.tracer
+            if ctx.journal is not None:
+                # make_context hooked the job journal to the tracer it
+                # built, which the server's tracer just replaced.
+                ctx.journal.on_append = self.tracer.on_journal_append
         if self.log.enabled:
             ctx.log = self.log
         return ctx
@@ -960,6 +983,12 @@ class MatchServer:
                 reg.set("fast_serve_cache_events",
                         {"namespace": ns, "event": ev},
                         float(stats[ev]))
+        pool = self.pool_stats()
+        if pool is not None:
+            for event in POOL_EVENTS:
+                reg.set("fast_serve_pool_events", {"event": event},
+                        float(getattr(pool, event)))
+            reg.set("fast_serve_pool_chunks", None, float(pool.chunks))
         report = ServeReport(
             statuses=self.statuses,
             responses=self.responses,

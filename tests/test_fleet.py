@@ -9,7 +9,7 @@ from repro.cst.builder import build_cst
 from repro.experiments.harness import HarnessConfig, make_context
 from repro.fpga.catalog import DeviceSpec, get_device
 from repro.fpga.config import FpgaConfig
-from repro.fpga.engine import FastEngine
+from repro.fpga.engine import FastEngine, module_spans
 from repro.host.multi_fpga import MultiFpgaRunner
 from repro.ldbc.queries import get_query
 from repro.runtime.context import RunContext
@@ -92,17 +92,26 @@ class TestSlrPenaltyModel:
             slr_crossing_penalty_cycles=10.0,
         )
         rep = FastEngine(cfg, trace_modules=True).run(cst)
-        crossing = [s for s in rep.module_spans if s[0] == "slr_crossing"]
+        (launch,) = rep.launch_rows
+        assert launch.slr_crossing_cycles == rep.slr_crossing_cycles > 0.0
+        spans = module_spans(cfg, rep.variant, rep.launch_rows)
+        crossing = [s for s in spans if s[0] == "slr_crossing"]
         assert len(crossing) == 1
         _, start, end = crossing[0]
+        assert end - start == pytest.approx(rep.slr_crossing_cycles)
         assert end == pytest.approx(rep.total_cycles)
-        assert end == max(e for _, _, e in rep.module_spans)
+        assert end == max(e for _, _, e in spans)
 
     def test_default_device_pays_nothing(self, micro_graph):
         q, cst = self._cst(micro_graph)
-        rep = FastEngine(FpgaConfig(), trace_modules=True).run(cst)
+        cfg = FpgaConfig()
+        rep = FastEngine(cfg, trace_modules=True).run(cst)
         assert rep.slr_crossing_cycles == 0.0
-        assert not any(s[0] == "slr_crossing" for s in rep.module_spans)
+        (launch,) = rep.launch_rows
+        assert launch.slr_crossing_cycles == 0.0
+        spans = module_spans(cfg, rep.variant, rep.launch_rows)
+        assert spans
+        assert not any(s[0] == "slr_crossing" for s in spans)
 
 
 class TestHeterogeneousFleet:

@@ -29,7 +29,7 @@ from repro.cst.partition import (
 from repro.fpga import engine as engine_module
 from repro.fpga.config import FpgaConfig
 from repro.fpga.cycles import l_basic, l_sep, l_task
-from repro.fpga.engine import VARIANTS, FastEngine
+from repro.fpga.engine import VARIANTS, FastEngine, module_spans
 from repro.fpga.kernel import SlotBuffers, build_plan
 from repro.graph.generators import random_connected_query, random_labeled_graph
 from repro.ldbc.queries import all_queries, get_query
@@ -273,12 +273,21 @@ class TestLockstep:
         plan = build_plan(cst.query, order)
         with mock.patch.multiple(engine_module, SCALAR_TAIL=tail,
                                  SLOT_BYTES_PER_WINDOW=window_bytes):
-            many = [asdict(r) for r in engine.run_many(parts, chosen, plan,
-                                                       collect)]
-        assert many == [
-            asdict(engine.run(parts[m], plan=plan, collect_results=collect))
-            for m in chosen
-        ]
+            many = engine.run_many(parts, chosen, plan, collect)
+        single = [engine.run(parts[m], plan=plan, collect_results=collect)
+                  for m in chosen]
+        # Field for field, traced round rows included.
+        assert [asdict(r) for r in many] == [asdict(r) for r in single]
+        for lockstep, alone in zip(many, single):
+            if not trace:
+                assert lockstep.launch_rows is None
+                continue
+            # One launch of its own rows per non-empty member, none
+            # for an empty one; the same module lanes either way.
+            assert len(lockstep.launch_rows) == (lockstep.rounds > 0)
+            assert module_spans(cfg, variant, lockstep.launch_rows) == (
+                module_spans(cfg, variant, alone.launch_rows)
+            )
 
     def test_slot_written_while_non_empty_raises(self):
         """A slot is only written once drained, as a DepthBuffer is."""

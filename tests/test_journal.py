@@ -22,6 +22,7 @@ from repro.common.errors import (
     DeadlineExceededError,
     JournalError,
     JournalMismatchError,
+    JournalVersionError,
 )
 from repro.common.io import atomic_write_json, read_jsonl
 from repro.experiments.harness import tight_config
@@ -40,6 +41,7 @@ from repro.runtime.faults import (
     HealthReport,
 )
 from repro.runtime.journal import (
+    JOURNAL_VERSION,
     DeviceHealth,
     DeviceHealthLedger,
     RunJournal,
@@ -218,6 +220,29 @@ class TestRunJournal:
         path.write_text('{"type": "header", "version": 99, '
                         '"fingerprint": "x"}\n')
         with pytest.raises(JournalError, match="version"):
+            RunJournal(path, resume=True)
+
+    def test_version_1_journal_refused(self, tmp_path):
+        """Version 1 stored traced module lanes as expanded spans;
+        version 2 stores round rows and keeps no reader for 1."""
+        path = tmp_path / "v1.jsonl"
+        report = {
+            "variant": "sep", "clock_mhz": 300.0, "compute_cycles": 10.0,
+            "load_cycles": 4.0, "flush_cycles": 0.0, "rounds": 1,
+            "total_partials": 1, "total_edge_tasks": 0, "total_pops": 1,
+            "embeddings": 0, "num_csts": 1, "buffer_peaks": {},
+            "module_spans": [["load", 0.0, 4.0],
+                             ["synchronizer", 4.0, 10.0]],
+        }
+        path.write_text(
+            json.dumps({"type": "header", "version": 1,
+                        "fingerprint": "x"}) + "\n"
+            + json.dumps({"type": "partition", "index": 0,
+                          "reports": [report]}) + "\n"
+        )
+        assert JOURNAL_VERSION == 2
+        with pytest.raises(JournalVersionError,
+                           match="version 1, expected 2"):
             RunJournal(path, resume=True)
 
     def test_fingerprint_mismatch_raises(self, tmp_path):

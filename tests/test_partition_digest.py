@@ -186,8 +186,14 @@ KERNEL_DIGESTS = {
 
 
 def report_items(report) -> str:
-    """Every field of a kernel report, with dict keys in sorted order."""
+    """Every field of a kernel report, with dict keys in sorted order.
+
+    The traced field is hashed under its former name, ``module_spans``,
+    under which these digests were recorded; these runs are untraced,
+    so it holds ``None`` either way.
+    """
     fields = dataclasses.asdict(report)
+    fields["module_spans"] = fields.pop("launch_rows")
     fields["buffer_peaks"] = sorted(fields["buffer_peaks"].items())
     return repr(sorted(fields.items()))
 

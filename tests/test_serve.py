@@ -26,9 +26,10 @@ from pathlib import Path
 import pytest
 
 from repro.common.errors import ProtocolError, ServeError
-from repro.experiments.harness import tight_config
+from repro.experiments.harness import HarnessConfig, tight_config
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import get_query
+from repro.obs.registry import POOL_EVENTS
 from repro.runtime.registry import REGISTRY
 from repro.runtime.tracing import validate_prometheus_text
 from repro.serve import (
@@ -384,6 +385,81 @@ class TestMatchServer:
         validate_prometheus_text(text)
         assert 'fast_serve_jobs_total{status="OK"} 1' in text
         assert 'fast_serve_jobs_total{status="FATAL"} 1' in text
+
+    def test_metrics_export_pool_supervision(self):
+        """The warm pool's cumulative supervision counters reach the
+        serve exposition, and survive ``close()`` (the CLI writes
+        ``--metrics-out`` after it). Host-fault seed 14 kills a worker
+        at task 0 and loses a shm segment at task 1, so at least one
+        redispatch or shm fallback must show."""
+        server = MatchServer(micro_config(harness=tight_config(
+            HarnessConfig(use_cache=False, workers=2, host_fault_seed=14,
+                          pool_watchdog_s=1.0),
+        )))
+        try:
+            report = server.run(
+                [request_line(r, "DG-MINI", "q1") for r in ("a", "b")],
+                io.StringIO(),
+            )
+            live = server.metrics_text()
+        finally:
+            server.close()
+        assert report.statuses["OK"] == 2
+        text = server.metrics_text()
+        assert validate_prometheus_text(text) == []
+
+        def pool_samples(exposition):
+            return {
+                line.rsplit(" ", 1)[0]: float(line.rsplit(" ", 1)[1])
+                for line in exposition.splitlines()
+                if line.startswith("fast_serve_pool_")
+            }
+
+        samples = pool_samples(text)
+        assert samples == pool_samples(live)
+        assert set(samples) == {
+            *(f'fast_serve_pool_events_total{{event="{event}"}}'
+              for event in POOL_EVENTS),
+            "fast_serve_pool_chunks_total",
+        }
+        assert samples["fast_serve_pool_chunks_total"] > 0
+        assert (
+            samples['fast_serve_pool_events_total{event="redispatches"}']
+            + samples['fast_serve_pool_events_total{event="shm_fallbacks"}']
+        ) > 0
+
+    def test_restart_reruns_a_job_journaled_in_another_version(
+        self, tmp_path
+    ):
+        """A job left in flight by a server that wrote another journal
+        version reruns from scratch: that journal cannot be replayed."""
+        first = MatchServer(micro_config(state_dir=str(tmp_path)))
+        sink = io.StringIO()
+        first.run([request_line("a")], sink)
+        first.close()
+        done = json.loads(sink.getvalue())
+        manifest = tmp_path / "manifest.jsonl"
+        header, job, _done = manifest.read_text().splitlines()
+        manifest.write_text(f"{header}\n{job}\n")
+        journal = tmp_path / json.loads(job)["journal"]
+        old = json.loads(journal.read_text().splitlines()[0])
+        journal.write_text(json.dumps({**old, "version": 1}) + "\n")
+        second = MatchServer(micro_config(state_dir=str(tmp_path)))
+        sink = io.StringIO()
+        try:
+            second.run([], sink)
+        finally:
+            second.close()
+        (again,) = [json.loads(line) for line in sink.getvalue().splitlines()]
+        assert again["status"] == "OK"
+        assert again["embeddings"] == done["embeddings"]
+        assert again["modeled_seconds"] == done["modeled_seconds"]
+
+    def test_inline_server_exports_no_pool_families(self):
+        server = MatchServer(micro_config())
+        server.run([request_line("r1")], io.StringIO())
+        server.close()
+        assert "fast_serve_pool_" not in server.metrics_text()
 
     def test_bad_fallback_backend_rejected_at_startup(self):
         with pytest.raises(ServeError):

@@ -19,29 +19,42 @@ four kernel modules concurrently, FAST-BASIC strictly serializes them.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from repro.experiments.harness import HarnessConfig, make_context
+from repro.cst.builder import build_cst
+from repro.experiments.harness import (
+    HarnessConfig,
+    make_context,
+    tight_config,
+)
 from repro.fpga.config import FpgaConfig
-from repro.fpga.engine import VARIANTS, FastEngine
-from repro.fpga.report import KernelReport
+from repro.fpga.engine import VARIANTS, FastEngine, module_spans
+from repro.fpga.report import ROUND_COLUMNS, KernelReport
+from repro.ldbc.datasets import load_dataset
+from repro.ldbc.queries import get_query
 from repro.obs import build_run_registry
 from repro.runtime.executor import overlap_schedule, overlap_timeline
 from repro.runtime.registry import REGISTRY
 from repro.runtime.tracing import (
+    CLOCK_PIDS,
     MODELED,
     MODULE_OF_LANE,
     WALL,
     Tracer,
     check_trace_invariants,
     summarize_trace,
+    trace_device_lanes,
     trace_lanes,
     validate_chrome_trace,
     validate_prometheus_text,
 )
+from repro.serve import MatchServer, ServeConfig
 
 FAST_BACKENDS = ("fast-dram", "fast-basic", "fast-task", "fast-sep")
 
@@ -164,54 +177,91 @@ class TestOverlapSchedule:
 
 
 class TestModuleSpans:
+    """Reports record round rows; the expansion tiles the cycle
+    account, and merges shift launches without touching them."""
+
+    @staticmethod
+    def _launches(micro_graph, queries, variant="sep", n=1):
+        engine = FastEngine(TIGHT_FPGA, variant, trace_modules=True)
+        return [engine.run(build_cst(queries[k].graph, micro_graph))
+                for k in range(n)]
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_spans_tile_total_cycles_exactly(self, variant, micro_graph,
                                              queries):
-        engine = FastEngine(TIGHT_FPGA, variant, trace_modules=True)
-        from repro.cst.builder import build_cst
-
-        cst = build_cst(queries[0].graph, micro_graph)
-        report = engine.run(cst)
-        assert report.module_spans
-        assert max(end for _, _, end in report.module_spans) == (
+        (report,) = self._launches(micro_graph, queries, variant)
+        (launch,) = report.launch_rows
+        rows = np.frombuffer(launch.rows, dtype=np.int64).reshape(
+            -1, len(ROUND_COLUMNS)
+        )
+        pops, new, tasks, _, flush = rows.sum(axis=0).tolist()
+        assert len(rows) == report.rounds
+        assert (pops, new, tasks, flush) == (
+            report.total_pops, report.total_partials,
+            report.total_edge_tasks, report.flush_cycles,
+        )
+        assert launch.load_cycles == report.load_cycles
+        assert launch.slr_crossing_cycles == report.slr_crossing_cycles
+        assert launch.offsets == ()
+        spans = module_spans(TIGHT_FPGA, variant, report.launch_rows)
+        assert spans
+        assert max(end for _, _, end in spans) == (
             pytest.approx(report.total_cycles)
         )
-        for lane, start, end in report.module_spans:
+        for lane, start, end in spans:
             assert lane in MODULE_OF_LANE
             assert 0.0 <= start < end
 
     def test_off_by_default_allocates_nothing(self, micro_graph, queries):
-        from repro.cst.builder import build_cst
-
         cst = build_cst(queries[0].graph, micro_graph)
         report = FastEngine(TIGHT_FPGA, "sep").run(cst)
-        assert report.module_spans is None
+        assert report.launch_rows is None
 
-    def test_merge_shifts_onto_serial_clock(self):
-        a = KernelReport(variant="sep", clock_mhz=300.0,
-                         compute_cycles=100.0,
-                         module_spans=[("generator_tv", 0.0, 100.0)])
-        b = KernelReport(variant="sep", clock_mhz=300.0,
-                         compute_cycles=50.0,
-                         module_spans=[("generator_tv", 0.0, 50.0)])
+    def test_merge_shifts_onto_serial_clock(self, micro_graph, queries):
+        a, b = self._launches(micro_graph, queries, n=2)
+        (a0,), (b0,) = a.launch_rows, b.launch_rows
+        spans_a = module_spans(TIGHT_FPGA, "sep", [a0])
+        spans_b = module_spans(TIGHT_FPGA, "sep", [b0])
+        offset = a.total_cycles
         a.merge(b)
-        assert a.module_spans == [
-            ("generator_tv", 0.0, 100.0),
-            ("generator_tv", 100.0, 150.0),
+        assert a.launch_rows == [a0, b0._replace(offsets=(offset,))]
+        assert b.launch_rows == [b0]
+        assert module_spans(TIGHT_FPGA, "sep", a.launch_rows) == [
+            *spans_a,
+            *((lane, s + offset, e + offset) for lane, s, e in spans_b),
         ]
-        assert a.total_cycles == 150.0
+        assert a.total_cycles == offset + b.total_cycles
 
-    def test_journal_roundtrip_preserves_spans(self):
+    def test_merge_never_moves_recorded_lanes(self, micro_graph, queries):
+        """A deferred entry keeps the launches it was given: merging
+        its report onward (a device into the run's total) builds new
+        launch tuples instead."""
+        (device,) = self._launches(micro_graph, queries)
+        tracer = Tracer(enabled=True)
+        trace_device_lanes(tracer, 0, [], device, TIGHT_FPGA)
+        before = modeled_digest(tracer.to_chrome_trace())
+        total = KernelReport(variant="sep", clock_mhz=device.clock_mhz,
+                             compute_cycles=1000.0)
+        total.merge(device)
+        (entry,) = tracer.spans
+        assert entry.launches == tuple(device.launch_rows)
+        assert total.launch_rows[0].offsets == (1000.0,)
+        assert modeled_digest(tracer.to_chrome_trace()) == before
+
+    def test_journal_roundtrip_preserves_spans(self, micro_graph, queries):
         from repro.runtime.journal import report_from_dict, report_to_dict
 
-        report = KernelReport(
-            variant="sep", clock_mhz=300.0, compute_cycles=10.0,
-            module_spans=[("load", 0.0, 4.0), ("synchronizer", 4.0, 10.0)],
+        a, b = self._launches(micro_graph, queries, n=2)
+        a.merge(b)
+        record = json.loads(json.dumps(report_to_dict(a)))
+        assert "module_spans" not in record
+        back = report_from_dict(record)
+        assert back == a
+        assert module_spans(TIGHT_FPGA, "sep", back.launch_rows) == (
+            module_spans(TIGHT_FPGA, "sep", a.launch_rows)
         )
-        back = report_from_dict(report_to_dict(report))
-        assert back.module_spans == report.module_spans
         plain = KernelReport(variant="sep", clock_mhz=300.0)
-        assert report_from_dict(report_to_dict(plain)).module_spans is None
+        assert report_from_dict(report_to_dict(plain)).launch_rows is None
 
 
 class TestFigure5Layout:
@@ -418,6 +468,39 @@ class TestFaultAndJournalLanes:
         ]
         assert appends and all(i.clock == WALL for i in appends)
 
+    def test_serve_journal_appends_scoped_per_request(self, tmp_path):
+        """The server's tracer, not the job context's own, hears each
+        job journal's appends: one ``journal`` instant per record,
+        carrying the request that wrote it."""
+        server = MatchServer(ServeConfig(
+            capacity_s=100.0, trace=True, state_dir=str(tmp_path),
+            harness=tight_config(HarnessConfig(use_cache=False)),
+        ))
+        try:
+            server.run([
+                json.dumps({"id": rid, "dataset": "DG-MICRO",
+                            "query": "q0"})
+                for rid in ("r1", "r2")
+            ], io.StringIO())
+        finally:
+            server.close()
+        appended = {
+            rid: len((tmp_path / f"job-{seq:06d}-{rid}.jsonl")
+                     .read_text().splitlines()) - 1  # the header
+            for seq, rid in ((1, "r1"), (2, "r2"))
+        }
+        assert all(n > 0 for n in appended.values())
+        scoped: dict[str, int] = {}
+        for instant in server.tracer.instants:
+            if instant.track == "journal":
+                assert instant.clock == WALL
+                rid = instant.args["request_id"]
+                scoped[rid] = scoped.get(rid, 0) + 1
+        assert scoped == appended
+        assert server.tracer.counters["journal_appends"] == (
+            sum(appended.values())
+        )
+
     def test_resume_counts_replays(self, tmp_path, micro_graph, queries):
         journal = tmp_path / "run.jsonl"
         out, ctx = traced_run(
@@ -509,3 +592,136 @@ class TestPrometheus:
         assert counts == sorted(counts)
         assert counts[-1] == 1.0
         assert math.isfinite(counts[-1])
+
+
+def modeled_digest(payload):
+    """Digest of the modeled clock domain of an exported trace.
+
+    Every pid-2 event in export order, with its lane's thread name (not
+    its tid), phase, ``ts``/``dur`` and args; floats hash by ``repr``,
+    so one bit of drift anywhere changes the digest. Returns the digest
+    and the number of module-lane spans it covers.
+    """
+    events = payload["traceEvents"]
+    lanes = {
+        (ev["pid"], ev["tid"]): ev["args"]["name"] for ev in events
+        if ev["ph"] == "M" and ev["name"] == "thread_name"
+    }
+    rows = [
+        [lanes[(ev["pid"], ev["tid"])], ev["name"], ev["ph"], ev["ts"],
+         ev.get("dur"), ev["args"]]
+        for ev in events
+        if ev["pid"] == CLOCK_PIDS[MODELED] and ev["ph"] != "M"
+    ]
+    blob = json.dumps(rows, sort_keys=True).encode()
+    return (hashlib.sha256(blob).hexdigest()[:16],
+            sum("/module/" in row[0] for row in rows))
+
+
+def report_spans(report, config):
+    """A report's module spans on its serial cycle clock."""
+    return module_spans(config, report.variant, report.launch_rows)
+
+
+class TestModeledTraceDigests:
+    """The modeled half of a trace, pinned bit for bit.
+
+    Digests were recorded when module lanes were still built eagerly
+    in the workers, so they pin the export-time expansion of the
+    recorded round rows to the same floats on every path: one launch
+    per partition, merge offsets nested across devices, pooled
+    windows, lanes replayed from a journal, and serve requests.
+    """
+
+    @staticmethod
+    def _digest(backend, dataset, query, **kwargs):
+        _, ctx = traced_run(backend, get_query(query).graph,
+                            load_dataset(dataset).graph, **kwargs)
+        if ctx.journal is not None:
+            ctx.journal.close()
+        return modeled_digest(ctx.tracer.to_chrome_trace())
+
+    def test_fast_sep_mini_q1(self):
+        assert self._digest("fast-sep", "DG-MINI", "q1", buffers=2) == (
+            "be74fd01b6ca62a3", 1388,
+        )
+
+    def test_multi_fpga(self):
+        assert self._digest("multi-fpga", "DG-MINI", "q1") == (
+            "a54218f673a81617", 1388,
+        )
+
+    def test_pooled_workers_2(self):
+        assert self._digest(
+            "fast-sep", "DG-MICRO", "q0", fpga=TIGHT_FPGA, workers=2,
+            pool="process", buffers=2, fault_seed=11,
+        ) == ("b01724ec467ba577", 655)
+
+    def test_killed_then_resumed_from_journal(self, tmp_path):
+        """A run killed after its first nine partition records: the
+        journal is cut back to them (a SIGKILL leaves exactly such a
+        prefix) and the resumed run draws their lanes from it."""
+        journal = tmp_path / "run.jsonl"
+        self._digest("fast-sep", "DG-MICRO", "q0", fpga=TIGHT_FPGA,
+                     journal_path=str(journal))
+        lines = journal.read_text().splitlines(keepends=True)
+        assert len(lines) == 20
+        journal.write_text("".join(lines[:10]))
+        assert self._digest(
+            "fast-sep", "DG-MICRO", "q0", fpga=TIGHT_FPGA,
+            resume_path=str(journal),
+        ) == ("7db689076d1d0c6a", 655)
+
+    def test_two_serve_requests(self, tmp_path):
+        server = MatchServer(ServeConfig(
+            capacity_s=100.0, trace=True, state_dir=str(tmp_path),
+            harness=tight_config(HarnessConfig(
+                use_cache=False, workers=2, pool="process",
+            )),
+        ))
+        try:
+            server.run([
+                json.dumps({"id": "r1", "dataset": "DG-MINI",
+                            "query": "q1"}),
+                json.dumps({"id": "r2", "dataset": "DG-MICRO",
+                            "query": "q0"}),
+            ], io.StringIO())
+        finally:
+            server.close()
+        payload = server.tracer.to_chrome_trace()
+        assert modeled_digest(payload) == ("a9f1adc652069fcf", 3679)
+        scoped = {
+            (ev["args"] or {}).get("request_id")
+            for ev in payload["traceEvents"]
+            if ev["pid"] == CLOCK_PIDS[MODELED] and ev["ph"] == "X"
+        }
+        assert scoped == {"r1", "r2"}
+
+    def test_nested_merge_offsets(self, micro_graph):
+        """Launches merged per device, then devices merged into one
+        total, as the multi-FPGA execute stage does: each span carries
+        both offsets, added in merge order. An SLR-split device puts a
+        crossing span at the end of every launch."""
+        csts = [build_cst(get_query(q).graph, micro_graph)
+                for q in ("q0", "q1", "q2")]
+        half = max(c.size_bytes() for c in csts) // 2 + 32
+        cfg = FpgaConfig(
+            bram_bytes=2 * half, batch_size=64, slr_count=2,
+            slr_bram_bytes=(half, half), slr_crossing_penalty_cycles=6.5,
+        )
+        engine = FastEngine(cfg, "task", trace_modules=True)
+        launches = [engine.run(c) for c in csts]
+        devices = []
+        for group in (launches[:2], launches[2:]):
+            device = KernelReport(variant="task", clock_mhz=cfg.clock_mhz)
+            for report in group:
+                device.merge(report)
+            devices.append(device)
+        total = KernelReport(variant="task", clock_mhz=cfg.clock_mhz)
+        for device in devices:
+            total.merge(device)
+        spans = report_spans(total, cfg)
+        assert len(spans) == 4236
+        assert sum(lane == "slr_crossing" for lane, _, _ in spans) == 3
+        blob = json.dumps(spans).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == "d0db315c440c399f"
