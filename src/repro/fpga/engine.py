@@ -1,10 +1,13 @@
 """The FAST matching engine - Algorithm 4 with the paper's variants.
 
-The engine drives the four kernel modules round by round over one CST,
-using the deepest-first expansion policy of Section VI-B (which bounds
-every depth buffer at ``N_o`` entries). Matching is *functional* - the
+Each launch runs the four kernel modules over one partition under the
+deepest-first expansion policy of Section VI-B, which bounds every
+depth buffer at ``N_o`` entries. The host does not step that buffer
+machine: it enumerates the search space depth first in slices and
+derives every round of the schedule, level by level, from integers of
+its level (:class:`_Schedule`). Matching is *functional* - the
 embeddings found are exact - while a per-variant timing model charges
-cycles for each round from the measured batch shape:
+cycles for each round from its shape:
 
 ``dram``
     Fig. 5(a) with the CST resident in off-chip DRAM: serial modules,
@@ -22,7 +25,7 @@ cycles for each round from the measured batch shape:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,38 +33,25 @@ from repro.common.errors import DeviceError
 from repro.cst.partition import PartitionSet
 from repro.cst.structure import CST
 from repro.fpga.config import FpgaConfig
-from repro.fpga.kernel import (
-    DepthBuffer,
-    MatchPlan,
-    RoundBatch,
-    SlotBuffers,
-    build_plan,
-    edge_validate,
-    expand_root,
-    expand_root_many,
-    generate,
-    generate_many,
-    synchronize,
-    validate_many,
-    visited_validate,
-)
+from repro.fpga.kernel import MatchPlan, build_plan, expand
 from repro.fpga.pipeline import chained, overlapped, pipelined_cycles
 from repro.fpga.report import ROUND_COLUMNS, KernelReport, LaunchRows
 
 #: Recognised engine variants, in the paper's optimisation order.
 VARIANTS = ("dram", "basic", "task", "sep")
 
-#: Host memory one :meth:`FastEngine.run_many` window may give its
-#: depth-buffer slots; larger queues advance in several windows. The
-#: per-pass batch arrays scale with the window too, so this bounds the
-#: lockstep's whole footprint (DG-MINI/q1 on a 4 KB device: peak RSS
-#: +2 % over single launches at 1 MiB, +6 % in one window).
+#: Host memory of ``N_o``-row depth buffers that sizes one FPGA task of
+#: the execute stage (:meth:`FastEngine.lockstep_window`): a device
+#: queue's pending partitions split into windows of as many partitions
+#: as this holds. The window sets how often the journal and the
+#: deadline see progress; kernel memory is bounded by :data:`SLICE`.
 SLOT_BYTES_PER_WINDOW = 1 << 20
-#: Once this few partitions of a lockstep window are unfinished, they
-#: run to completion one by one in the scalar machine. So few rarely
-#: share a step, and a one-member pass costs more host time than a
-#: scalar round (measured in CHANGES.md).
-SCALAR_TAIL = 4
+#: Children one Generator pass of :meth:`FastEngine.run_many` gathers:
+#: the search space is enumerated depth first in slices of whole rounds
+#: holding at most this many (one round of ``N_o`` when that is more),
+#: so the host holds about ``depth * SLICE`` partial rows whatever the
+#: window or the partition.
+SLICE = 1 << 12
 
 
 class FastEngine:
@@ -95,9 +85,7 @@ class FastEngine:
         ``order`` defaults to the BFS order of the CST's spanning
         tree. ``collect_results`` materialises embeddings (as tuples
         indexed by query vertex) instead of only counting them. A
-        :meth:`run_many` over ``cst`` as a one-member set: the lone
-        partition runs in the scalar machine :meth:`_rounds`, the
-        reference every segmented pass is checked against.
+        :meth:`run_many` over ``cst`` as a one-member set.
         """
         if plan is None:
             if order is None:
@@ -107,46 +95,6 @@ class FastEngine:
         return self.run_many(PartitionSet.of(cst, 0.0), [0], plan,
                              collect_results)[0]
 
-    def _rounds(
-        self, parts: PartitionSet, plan: MatchPlan,
-        buffers: list[DepthBuffer], root_cursor: int, root_end: int,
-    ) -> Iterator[tuple[RoundBatch, np.ndarray]]:
-        """The deepest-first buffer machine of Section VI-B on the one
-        partition of ``parts`` whose root positions run up to
-        ``root_end``.
-
-        Each kernel round expands the deepest non-empty buffer (or
-        streams the next root candidates once all are drained), then
-        runs the validators and the synchronizer. Yields the round's
-        batch and its survivors' ``ids``; survivors short of a full
-        embedding are already in the next depth buffer.
-        """
-        budget = self.config.batch_size
-        n_steps = plan.num_steps
-        while True:
-            step = -1
-            for d in range(n_steps - 1, 0, -1):
-                if not buffers[d].is_empty:
-                    step = d
-                    break
-            if step == -1:
-                if root_cursor >= root_end:
-                    return
-                # The budget stops the stream at the partition's end.
-                batch, root_cursor = expand_root(
-                    parts, plan, root_cursor, min(budget, root_end - root_cursor)
-                )
-            else:
-                batch = generate(parts, plan, buffers[step], step, budget)
-
-            bv = visited_validate(batch)
-            bn = edge_validate(parts, plan, batch)
-            pos, ids = synchronize(batch, bv, bn)
-            depth = batch.step + 1
-            if depth < n_steps and len(pos):
-                buffers[depth].fill(pos, ids)
-            yield batch, ids
-
     def run_many(
         self,
         parts: PartitionSet,
@@ -154,153 +102,63 @@ class FastEngine:
         plan: MatchPlan,
         collect_results: bool = False,
     ) -> list[KernelReport]:
-        """Match ``members`` of a partition set in lockstep; one report
-        each, in ``members`` order.
+        """Match ``members`` of a partition set; one report each, in
+        ``members`` order.
 
-        Every member runs its own deepest-first buffer machine, and the
-        machines advance together: each global round makes one kernel
-        round of every unfinished member, with one numpy pass per group
-        of members at the same step, read in place from the set's
-        block-diagonal arrays. Members may be any partitions of the
-        set, contiguous or not. Each keeps its own ``N_o`` budget,
-        cursors and fixed buffer slots, so every report equals
-        ``run(parts[m], plan=plan)``, where the partition runs alone in
-        the scalar machine, field for field: cycles, N, M, pops, buffer
-        peaks, SLR crossing, results and, when ``trace_modules`` is
-        set, the launch's round rows (one :class:`LaunchRows`, whose
-        :func:`module_spans` are the Fig. 5 lanes). Only host wall time
-        changes. Empty partitions get an empty report.
+        Each member is one launch of the deepest-first buffer machine
+        of Section VI-B, with its own ``N_o`` budget and buffers.
+        Members may be any partitions of the set, contiguous or not,
+        all read in place from the set's block-diagonal arrays. No
+        machine is stepped: a :class:`_Schedule` derives every
+        member's rounds level by level from one enumeration of their
+        search spaces in slices of at most :data:`SLICE` children, so
+        the host holds about ``depth * SLICE`` partial rows however
+        many members there are. A report holds its launch's cycles, N,
+        M, pops, buffer peaks (at most ``N_o`` each), SLR crossing,
+        results in completion order and, when ``trace_modules`` is
+        set, its round rows (one :class:`LaunchRows`, whose
+        :func:`module_spans` are the Fig. 5 lanes). Empty partitions
+        get an empty report.
         """
         reports = [self._new_report(collect_results) for _ in members]
         empty = (np.diff(parts.offsets, axis=1) == 0).any(axis=0)
         live = [k for k, m in enumerate(members) if not empty[m]]
-        window = self.lockstep_window(plan)
-        for start in range(0, len(live), window):
-            chunk = live[start:start + window]
-            self._lockstep(parts, np.array([members[k] for k in chunk]),
-                           plan, [reports[k] for k in chunk])
+        if live:
+            chosen = np.array([members[k] for k in live], dtype=np.int64)
+            schedule = _Schedule(parts, chosen, plan,
+                                 self.config.batch_size, collect_results)
+            self._account_lockstep(parts, chosen, plan,
+                                   [reports[k] for k in live],
+                                   *schedule.rows(), schedule.finals)
         return reports
 
     def lockstep_window(self, plan: MatchPlan) -> int:
-        """Partitions of ``plan`` that one lockstep window advances
-        together: as many as :data:`SLOT_BYTES_PER_WINDOW` of depth
-        buffer slots hold (``pos`` and ``ids`` rows, 8 bytes a column,
-        ``N_o`` rows per depth)."""
+        """Partitions of ``plan`` that one FPGA task of the execute
+        stage covers: as many as :data:`SLOT_BYTES_PER_WINDOW` holds of
+        ``N_o``-row depth buffers (``pos`` and ``ids`` rows, 8 bytes a
+        column)."""
         n = plan.num_steps
         slot_bytes = 16 * self.config.batch_size * n * (n - 1) // 2
         return max(1, SLOT_BYTES_PER_WINDOW // max(1, slot_bytes))
 
-    def _lockstep(self, parts: PartitionSet, members: np.ndarray,
-                  plan: MatchPlan, reports: list[KernelReport]) -> None:
-        """Advance non-empty ``members`` together; fill their reports."""
-        budget = self.config.batch_size
-        n_steps = plan.num_steps
-        root = parts.offsets[plan.order[0]]
-        bufs = SlotBuffers(len(members), n_steps, budget,
-                           root[members + 1] - root[members], root[members])
-        # Per pass: partitions, steps, pops, new partials and completed
-        # embeddings, one entry per (partition, round) in round order.
-        log: list[tuple[np.ndarray, ...]] = []
-        # Per pass that completes embeddings, when results are
-        # collected: partition and ids rows.
-        finals: list[tuple[np.ndarray, np.ndarray]] | None = (
-            [] if reports[0].results is not None else None
-        )
-        active = np.arange(len(members))
-        while True:
-            nonempty = bufs.remaining[:, active] > 0
-            running = nonempty.any(axis=0)
-            if not running.all():
-                active = active[running]
-                nonempty = nonempty[:, running]
-            if len(active) <= SCALAR_TAIL:
-                for p in active.tolist():
-                    self._finish_alone(parts, plan, bufs, p, log, finals)
-                break
-            # Deepest-first: each partition's deepest non-empty buffer,
-            # or its root stream (row 0) once every buffer is drained.
-            steps = n_steps - 1 - np.argmax(nonempty[::-1], axis=0)
-            for step in sorted(set(steps.tolist())):
-                group = active[steps == step]
-                if step == 0:
-                    batch = expand_root_many(parts, plan, bufs, group,
-                                             budget)
-                else:
-                    batch = generate_many(parts, plan, bufs, group,
-                                          step, budget)
-                keep = validate_many(parts, plan, batch)
-                owner = batch.owner[keep]
-                counts = np.bincount(owner, minlength=len(group))
-                if step + 1 == n_steps:
-                    if finals is not None:
-                        finals.append((group[owner], batch.ids[keep]))
-                    done = counts
-                else:
-                    bufs.fill(step + 1, group, owner, counts,
-                              batch.pos[keep], batch.ids[keep])
-                    done = np.zeros_like(counts)
-                log.append((group, np.full(len(group), step),
-                            batch.n_consumed, batch.n_new, done))
-        self._account_lockstep(parts, members, plan, reports, bufs, log,
-                               finals)
-
-    def _finish_alone(
-        self, parts: PartitionSet, plan: MatchPlan, bufs: SlotBuffers,
-        p: int, log: list, finals: list | None,
-    ) -> None:
-        """Run window member ``p`` of a lockstep window to completion
-        alone.
-
-        Its slots become :class:`DepthBuffer` views and :meth:`_rounds`
-        takes over where the lockstep left off (at the start when no
-        pass ran and every slot is empty), in the same set positions;
-        its rounds join the log as if batched.
-        """
-        n_steps = plan.num_steps
-        cap = bufs.capacity
-        buffers = [DepthBuffer(d, cap) for d in range(n_steps)]
-        for d in range(1, n_steps):
-            buf = buffers[d]
-            buf.front = int(bufs.front[d][p])
-            buf.front_offset = int(bufs.offset[d][p])
-            buf.peak = int(bufs.peak[d][p])
-            rows = slice(p * cap,
-                         p * cap + buf.front + int(bufs.remaining[d][p]))
-            buf.pos = bufs.pos[d][rows]
-            buf.ids = bufs.ids[d][rows]
-        cursor = int(bufs.root_cursor[p])
-        rounds = []
-        for batch, ids in self._rounds(
-            parts, plan, buffers, cursor, cursor + int(bufs.remaining[0][p])
-        ):
-            done = 0
-            if batch.step + 1 == n_steps:
-                done = len(ids)
-                if finals is not None:
-                    finals.append((np.full(done, p), ids))
-            rounds.append((batch.step, batch.n_consumed, batch.n_new, done))
-        for d in range(1, n_steps):
-            bufs.peak[d][p] = buffers[d].peak
-        if rounds:
-            log.append((np.full(len(rounds), p),
-                        *np.array(rounds, dtype=np.int64).T))
-
     def _account_lockstep(
         self, parts: PartitionSet, members: np.ndarray, plan: MatchPlan,
-        reports: list[KernelReport], bufs: SlotBuffers, log: list,
-        finals: list | None,
+        reports: list[KernelReport], rounds: np.ndarray,
+        log: tuple[np.ndarray, ...], peaks: np.ndarray,
+        finals: list[np.ndarray] | None,
     ) -> None:
-        """Split a lockstep run's round log back out per member."""
+        """Charge a schedule's rounds to their members' reports.
+
+        ``rounds`` counts each member's rounds, ``log`` holds the step,
+        pops, new partials and completed embeddings of every round in
+        the machine's order, member after member, ``peaks`` each
+        member's buffer peak per depth, and ``finals`` the completed
+        embeddings' ids rows in completion order when collected.
+        """
         cfg = self.config
         n_steps = plan.num_steps
-        owner = np.concatenate([entry[0] for entry in log])
-        order = np.argsort(owner, kind="stable")
-        rounds = np.bincount(owner, minlength=len(members))
         first = np.cumsum(rounds) - rounds
-        step, pops, new, done = (
-            np.concatenate([entry[k] for entry in log])[order]
-            for k in (1, 2, 3, 4)
-        )
+        step, pops, new, done = log
         checks_by_step = np.array(
             [plan.tasks_per_partial(s) for s in range(n_steps)],
             dtype=np.int64,
@@ -334,17 +192,14 @@ class FastEngine:
         ).tolist()
         results: list[list] = []
         if finals:
-            final_owner = np.concatenate([o for o, _ in finals])
-            ids = np.concatenate([i for _, i in finals])
-            ids = ids[np.argsort(final_owner, kind="stable")]
-            rows = _to_query_indexed(ids, plan.order)
+            rows = _to_query_indexed(np.concatenate(finals), plan.order)
             bounds = np.cumsum([row[5] for row in sums]).tolist()
             results = [rows[b - row[5]:b] for b, row in zip(bounds, sums)]
         if self.trace_modules:
             round_rows = np.stack(
                 [pops, new, tasks, checks, flush], axis=1
             ).astype(np.int64, copy=False)
-        peaks = bufs.peak.T.tolist()
+        peaks = peaks.tolist()
         for p, (m, report) in enumerate(zip(members.tolist(), reports)):
             self._charge_load(report, parts.size_bytes[m])
             pops_p, new_p, tasks_p, cycles_p, flush_p, done_p = sums[p]
@@ -362,7 +217,7 @@ class FastEngine:
             }
             self._charge_slr(report, parts.size_bytes[m])
             if self.trace_modules:
-                # A copy of the member's rows: the window's log goes.
+                # A copy of the member's rows: the schedule's log goes.
                 lo = int(first[p])
                 report.launch_rows.append(LaunchRows(
                     round_rows[lo:lo + int(rounds[p])].tobytes(),
@@ -563,6 +418,161 @@ class FastEngine:
             )
             spans.append(("load", cursor, cursor + gap))
         return spans
+
+
+class _Schedule:
+    """The deepest-first schedule of some partitions of one set,
+    derived level by level.
+
+    A *piece* is what one round hands to the next depth buffer: a root
+    batch, or the survivors of one round. Deepest-first runs a piece's
+    whole subtree before its parent buffer's next round, so a piece at
+    step ``s`` whose entries own ``C`` children runs ``max(1, ceil(C /
+    N_o))`` rounds there. Round ``j`` takes children ``[c0 + j N_o,
+    min(c0 + (j + 1) N_o, c1))`` and pops the entries whose children end
+    by its end; its survivors are the next step's piece, or at the last
+    step its completed embeddings. The constructor enumerates the search
+    space depth first, in slices of whole rounds of at most
+    :data:`SLICE` children (:func:`~repro.fpga.kernel.expand`), and
+    logs per step every round of that step in the machine's order:
+    the round above whose survivors it pops (for a root batch, the
+    member), its pops, new partials and survivors. :meth:`rows` lays
+    the rounds out in the machine's order, the DFS pre-order of that
+    round tree.
+    """
+
+    def __init__(self, parts: PartitionSet, members: np.ndarray,
+                 plan: MatchPlan, budget: int, collect: bool) -> None:
+        """Enumerate non-empty ``members`` from their root candidates,
+        each member one piece of step 0 with a single entry."""
+        self.parts, self.plan, self.budget = parts, plan, budget
+        self.members = len(members)
+        #: Per step, one ``(4, rounds)`` array per :meth:`_descend`
+        #: call: its rounds' parents, pops, new partials and survivors.
+        self.log: list[list[np.ndarray]] = [
+            [] for _ in range(plan.num_steps)
+        ]
+        self.count = [0] * plan.num_steps
+        #: The completed embeddings' ids rows in completion order
+        #: (lexicographic, as every buffer is a FIFO), when collected.
+        self.finals: list[np.ndarray] | None = [] if collect else None
+        root = parts.offsets[plan.order[0]]
+        none = np.empty((len(members), 0), dtype=np.int64)
+        self._descend(0, none, none, root[members],
+                      root[members + 1] - root[members],
+                      np.arange(1, len(members) + 1),
+                      np.arange(len(members)))
+
+    def _descend(self, step: int, pos: np.ndarray, ids: np.ndarray,
+                 starts: np.ndarray, lens: np.ndarray, ends: np.ndarray,
+                 owners: np.ndarray) -> None:
+        """Run the pieces of ``step`` and, slice by slice, their
+        subtrees.
+
+        Piece ``i`` holds entries ``ends[i - 1]:ends[i]`` of
+        ``pos``/``ids`` and was emitted by ``owners[i]``; entry ``e``
+        owns the ``lens[e]`` children from ``starts[e]``.
+        """
+        budget, plan = self.budget, self.plan
+        cum = np.cumsum(lens)
+        firsts = np.concatenate(([0], ends[:-1]))
+        c0 = cum[firsts] - lens[firsts]
+        c1 = cum[ends - 1]
+        count = np.maximum(1, -(-(c1 - c0) // budget))
+        piece = np.repeat(np.arange(len(ends)), count)
+        j = np.arange(len(piece)) - np.repeat(np.cumsum(count) - count,
+                                              count)
+        lo = c0[piece] + j * budget
+        hi = np.minimum(lo + budget, c1[piece])
+        log = np.zeros((4, len(piece)), dtype=np.int64)
+        log[0] = owners[piece]
+        if step:
+            popped = np.minimum(np.searchsorted(cum, hi, "right"),
+                                ends[piece])
+            log[1] = popped - np.where(j == 0, firsts[piece],
+                                       np.roll(popped, 1))
+        new = log[2]
+        new[:] = hi - lo
+        kept = log[3]
+        self.log[step].append(log)
+        base = self.count[step]
+        self.count[step] += len(piece)
+        nxt = step + 1
+        if nxt < plan.num_steps:
+            adj = self.parts.adjacency[(plan.anchor_vertex[nxt],
+                                        plan.order[nxt])]
+        total = np.cumsum(new)
+        r = 0
+        while r < len(piece):
+            # Whole rounds of at most SLICE children, at least one.
+            stop = max(r + 1, int(np.searchsorted(
+                total, total[r] - new[r] + SLICE, "right"
+            )))
+            a, b = int(lo[r]), int(hi[stop - 1])
+            e0 = int(np.searchsorted(cum, a, "right"))
+            e1 = int(np.searchsorted(cum, b, "left")) + 1 if b > a else e0
+            child_end = cum[e0:e1]
+            child_start = child_end - lens[e0:e1]
+            take_from = np.maximum(child_start, a)
+            keep, next_pos, next_ids = expand(
+                self.parts, plan, step, pos[e0:e1], ids[e0:e1],
+                starts[e0:e1] + (take_from - child_start),
+                np.minimum(child_end, b) - take_from,
+            )
+            kept[r:stop] = np.bincount(
+                np.searchsorted(hi[r:stop], a + keep, "right"),
+                minlength=stop - r,
+            )
+            if nxt == plan.num_steps:
+                if self.finals is not None:
+                    self.finals.append(next_ids)
+            elif len(keep):
+                pieces = r + np.flatnonzero(kept[r:stop])
+                apos = next_pos[:, plan.anchor_col[nxt]]
+                self._descend(nxt, next_pos, next_ids, adj.indptr[apos],
+                              adj.row_lens_array()[apos],
+                              np.cumsum(kept[pieces]), base + pieces)
+            r = stop
+
+    def rows(self) -> tuple[np.ndarray, tuple[np.ndarray, ...],
+                            np.ndarray]:
+        """Each member's round count; the step, pops, new partials and
+        completed embeddings of every round in the machine's order,
+        member after member; and each member's buffer peak per depth
+        (its largest piece there)."""
+        n = self.plan.num_steps
+        parent, pops, new, kept = zip(*(
+            np.concatenate([np.empty((4, 0), dtype=np.int64), *log], axis=1)
+            for log in self.log
+        ))
+        # Subtree sizes bottom-up, then pre-order positions top-down:
+        # a round comes right after its parent and its earlier
+        # siblings' subtrees.
+        size = [np.ones(len(parent[-1]), dtype=np.int64)]
+        for s in range(n - 2, -1, -1):
+            size.insert(0, 1 + np.bincount(
+                parent[s + 1], weights=size[0], minlength=len(parent[s])
+            ).astype(np.int64))
+        at = [np.cumsum(size[0]) - size[0]]
+        owner = [parent[0]]
+        for s in range(1, n):
+            p = parent[s]
+            before = np.cumsum(size[s]) - size[s]
+            at.append(at[-1][p] + 1 + before - before[np.searchsorted(p, p)])
+            owner.append(owner[-1][p])
+        step, pops_at, new_at, done = np.zeros((4, int(size[0].sum())),
+                                               dtype=np.int64)
+        peaks = np.zeros((self.members, n), dtype=np.int64)
+        for s in range(n):
+            step[at[s]] = s
+            pops_at[at[s]] = pops[s]
+            new_at[at[s]] = new[s]
+            if s < n - 1:
+                np.maximum.at(peaks[:, s + 1], owner[s], kept[s])
+        done[at[-1]] = kept[-1]
+        rounds = np.bincount(parent[0], weights=size[0],
+                             minlength=self.members).astype(np.int64)
+        return rounds, (step, pops_at, new_at, done), peaks
 
 
 def module_spans(

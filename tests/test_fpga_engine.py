@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import asdict
 from unittest import mock
 
@@ -14,11 +15,7 @@ from repro.baselines.reference import (
     count_reference_embeddings,
     reference_embeddings,
 )
-from repro.common.errors import (
-    BufferOverflowError,
-    DeviceError,
-    PartitionError,
-)
+from repro.common.errors import DeviceError, PartitionError
 from repro.cst.builder import build_cst
 from repro.cst.partition import (
     FlatCST,
@@ -29,11 +26,14 @@ from repro.cst.partition import (
 from repro.fpga import engine as engine_module
 from repro.fpga.config import FpgaConfig
 from repro.fpga.cycles import l_basic, l_sep, l_task
-from repro.fpga.engine import VARIANTS, FastEngine, module_spans
-from repro.fpga.kernel import SlotBuffers, build_plan
+from repro.fpga.engine import VARIANTS, FastEngine
+from repro.fpga.kernel import build_plan
+from repro.experiments.harness import make_runner, tight_config
 from repro.graph.generators import random_connected_query, random_labeled_graph
+from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import all_queries, get_query
 from repro.query.ordering import path_based_order, random_connected_order
+from tests.kernel_oracle import run_alone
 
 
 class TestExactness:
@@ -230,25 +230,22 @@ class TestLockstep:
         variant=st.sampled_from(VARIANTS),
         trace=st.booleans(),
         collect=st.booleans(),
-        tail=st.sampled_from([0, engine_module.SCALAR_TAIL]),
-        window_bytes=st.sampled_from(
-            [1, engine_module.SLOT_BYTES_PER_WINDOW]
-        ),
+        slice_=st.sampled_from([1, 7, engine_module.SLICE]),
         members=st.sampled_from(sorted(MEMBERS)),
     )
     # A CST without embeddings: Algorithm 2 emits no partition at all.
     @example(data_seed=1857, query_seed=860, query_size=5, batch=1,
              bram_share=1, slr_penalty=0.0, variant="dram", trace=False,
-             collect=False, tail=0, window_bytes=1, members="tail")
+             collect=False, slice_=1, members="tail")
     def test_run_many_equals_single_launches(
         self, data_seed, query_seed, query_size, batch, bram_share,
-        slr_penalty, variant, trace, collect, tail, window_bytes, members,
+        slr_penalty, variant, trace, collect, slice_, members,
     ):
-        """Every lockstep report equals its partition's own launch,
-        field for field, on any partitioning, any small device and any
-        members of one set. A scalar tail of 0 keeps every round in
-        the segmented passes, one-member groups included; 1-byte
-        windows hold one partition each."""
+        """Every ``run_many`` report equals its partition launched alone
+        in the scalar buffer machine (``tests/kernel_oracle.py``), field
+        for field, on any partitioning, any small device, any members
+        of one set and any slice size; and every buffer peak stays
+        within ``N_o``. A slice of 1 child runs one round per pass."""
         data = random_labeled_graph(40, 160, 3, seed=data_seed)
         query = random_connected_query(
             query_size, min(query_size * (query_size - 1) // 2,
@@ -271,32 +268,47 @@ class TestLockstep:
         )
         engine = FastEngine(cfg, variant, trace_modules=trace)
         plan = build_plan(cst.query, order)
-        with mock.patch.multiple(engine_module, SCALAR_TAIL=tail,
-                                 SLOT_BYTES_PER_WINDOW=window_bytes):
+        with mock.patch.object(engine_module, "SLICE", slice_):
             many = engine.run_many(parts, chosen, plan, collect)
-        single = [engine.run(parts[m], plan=plan, collect_results=collect)
-                  for m in chosen]
+        alone = [run_alone(engine, parts, m, plan, collect) for m in chosen]
         # Field for field, traced round rows included.
-        assert [asdict(r) for r in many] == [asdict(r) for r in single]
-        for lockstep, alone in zip(many, single):
-            if not trace:
-                assert lockstep.launch_rows is None
-                continue
-            # One launch of its own rows per non-empty member, none
-            # for an empty one; the same module lanes either way.
-            assert len(lockstep.launch_rows) == (lockstep.rounds > 0)
-            assert module_spans(cfg, variant, lockstep.launch_rows) == (
-                module_spans(cfg, variant, alone.launch_rows)
-            )
+        assert [asdict(r) for r in many] == [asdict(r) for r in alone]
+        for report in many:
+            assert all(peak <= batch for peak in report.buffer_peaks.values())
+            if trace:
+                # One launch of its own rows per non-empty member, none
+                # for an empty one.
+                assert len(report.launch_rows) == (report.rounds > 0)
+            else:
+                assert report.launch_rows is None
 
-    def test_slot_written_while_non_empty_raises(self):
-        """A slot is only written once drained, as a DepthBuffer is."""
-        bufs = SlotBuffers(num_parts=2, num_steps=3, capacity=4,
-                           root_total=np.array([5, 5]), root_start=0)
-        group = np.array([0, 1])
-        rows = np.zeros((3, 2), dtype=np.int64)
-        bufs.fill(2, group, np.array([0, 0, 1]), np.array([2, 1]),
-                  rows, rows)
-        with pytest.raises(BufferOverflowError, match="non-empty"):
-            bufs.fill(2, np.array([1]), np.empty(0, dtype=np.int64),
-                      np.array([0]), rows[:0], rows[:0])
+
+class TestMemoryBound:
+    def test_queue_heap_bounded_by_slice(self, monkeypatch):
+        """The enumeration holds about ``depth * SLICE`` partial rows
+        however wide a step is: DG-MINI/q7's device queue on the
+        ``tight_config()`` card has 46 580 children at its widest step,
+        and its one ``run_many`` peaks under 3 MiB of traced heap (over
+        10 MiB with a slice that holds the whole step)."""
+        launches = []
+
+        def capture(self, parts, members, plan, collect_results=False):
+            launches.append((self, parts, list(members), plan))
+            return run_many(self, parts, members, plan, collect_results)
+
+        run_many = FastEngine.run_many
+        monkeypatch.setattr(FastEngine, "run_many", capture)
+        make_runner("fast-sep", tight_config())(
+            get_query("q7").graph, load_dataset("DG-MINI").graph
+        )
+        monkeypatch.undo()
+        engine, parts, _, plan = launches[0]
+        queue = [m for launch in launches for m in launch[2]]
+        engine.run_many(parts, queue, plan)  # warm adjacency caches
+        tracemalloc.start()
+        try:
+            engine.run_many(parts, queue, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20

@@ -1,4 +1,8 @@
-"""Tests for the kernel modules (Algorithms 5-8) and depth buffers."""
+"""Tests for the kernel modules (Algorithms 5-8) and depth buffers.
+
+The single-buffer steps live in the scalar oracle machine
+(``tests/kernel_oracle.py``) that the engine's schedule is checked
+against; these tests pin that oracle's own semantics."""
 
 from __future__ import annotations
 
@@ -7,18 +11,18 @@ import pytest
 
 from repro.common.errors import BufferOverflowError, DeviceError, QueryError
 from repro.cst.builder import build_cst
-from repro.fpga.kernel import (
+from repro.fpga.kernel import _gather_ranges, build_plan
+from repro.ldbc.queries import get_query
+from repro.query.ordering import path_based_order
+from tests.kernel_oracle import (
     DepthBuffer,
-    build_plan,
+    RoundBatch,
     edge_validate,
     expand_root,
     generate,
     synchronize,
     visited_validate,
 )
-from repro.fpga.kernel import _gather_ranges
-from repro.ldbc.queries import get_query
-from repro.query.ordering import path_based_order
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +153,6 @@ class TestGenerateSemantics:
 class TestValidators:
     def test_visited_rejects_duplicates(self, setup):
         cst, order, plan = setup
-        from repro.fpga.kernel import RoundBatch
         ids = np.array([[3, 7, 3], [3, 7, 9]])
         pos = np.zeros_like(ids)
         batch = RoundBatch(step=2, pos=pos, ids=ids, n_consumed=0,
@@ -191,7 +194,6 @@ class TestValidators:
             assert bool(bn[row]) == expected
 
     def test_synchronize_filters_both_bits(self):
-        from repro.fpga.kernel import RoundBatch
         pos = np.arange(8).reshape(4, 2)
         batch = RoundBatch(step=1, pos=pos, ids=pos + 50, n_consumed=0,
                            n_new=4, n_tasks=0)
