@@ -23,12 +23,12 @@ from repro.cst.partition import (
     PartitionSet,
     partition_cst,
 )
+from repro.experiments.harness import make_runner, tight_config
 from repro.fpga import engine as engine_module
 from repro.fpga.config import FpgaConfig
 from repro.fpga.cycles import l_basic, l_sep, l_task
 from repro.fpga.engine import VARIANTS, FastEngine
 from repro.fpga.kernel import build_plan
-from repro.experiments.harness import make_runner, tight_config
 from repro.graph.generators import random_connected_query, random_labeled_graph
 from repro.ldbc.datasets import load_dataset
 from repro.ldbc.queries import all_queries, get_query
